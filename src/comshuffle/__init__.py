@@ -1,10 +1,7 @@
 """Algebra of commutative regular languages in diagonal periodic normal form."""
 
 from .aperiodic import (
-    AperiodicUnion,
     IntervalConstraint,
-    PermShuffleTerm,
-    ShuffleClosure,
     intervals_to_terms,
     term_iterated_shuffle_normal_form,
     term_iterated_shuffle_regular,

@@ -1,23 +1,35 @@
 """Star-free commutative languages.
 
 The normal form here is a finite union of terms perm(u) ⧢ Γ*: a fixed
-multiset of letters plus arbitrarily many letters from a tail alphabet.
-Interval letter-count constraints expand into this form, and the iterated
-shuffle is handled by sufficient criteria: per term via the unary-or-tail
-condition, and for whole unions via a subset-expansion with absorption of the
-problematic pieces into well-behaved ones.
+multiset of letters plus arbitrarily many letters from a tail alphabet.  Such
+a term is the diagonal periodic term whose tail letters have period-one
+progressions from offset u_a and whose other letters have the exact count
+u_a, so these unions are `DplUnion`s.  Interval letter-count constraints
+expand into this form, and the iterated shuffle is handled by sufficient
+criteria: per term via the unary-or-tail condition, and for whole unions via
+a subset-expansion with absorption of the problematic pieces into
+well-behaved ones.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
-from .dpl import DplUnion, dpl_member, dpl_union, dpl_union_member
+from .dpl import (
+    DiagonalPeriodic,
+    DplUnion,
+    dpl_project,
+    dpl_shuffle,
+    dpl_union,
+    dpl_union_from_dict,
+    dpl_union_member,
+    dpl_union_to_dict,
+)
 from .errors import CriterionError, SizeGuardError, UndecidedError
+from .progressions import Progression
 from .regularity import FiniteLang, build_representation, decide_finite, shift_representation
 from .words import Alphabet, ParikhVector, word_of
 
@@ -26,6 +38,11 @@ UNION_VERIFY_BOUND = 12
 M_SEARCH_CAP = 40
 PERIOD_LCM_CAP = 24
 THRESHOLD_ITER_CAP = 8
+
+# Earlier names of the dpl membership test and parser, still imported by
+# bench/workloads.py.
+union_member = dpl_union_member
+aperiodic_union_from_dict = dpl_union_from_dict
 
 
 @dataclass(frozen=True)
@@ -54,57 +71,23 @@ def interval_intersect(c1: IntervalConstraint, c2: IntervalConstraint) -> Option
     return IntervalConstraint(c1.letter, lower, upper)
 
 
-@dataclass(frozen=True)
-class PermShuffleTerm:
-    """perm(base) ⧢ tail*: exact letter counts plus a free tail alphabet."""
-
-    base: ParikhVector
-    tail: frozenset[str]
-
-    def __post_init__(self):
-        if any(a not in self.base.alphabet for a in self.tail):
-            raise ValueError("tail letters outside alphabet")
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.base.alphabet
-
-
-@dataclass(frozen=True)
-class AperiodicUnion:
-    alphabet: Alphabet
-    terms: tuple[PermShuffleTerm, ...]
-
-    def __post_init__(self):
-        if any(t.alphabet != self.alphabet for t in self.terms):
-            raise ValueError("all terms must share the union's alphabet")
-
-    @classmethod
-    def of(cls, alphabet: Alphabet, terms: Iterable[PermShuffleTerm]) -> "AperiodicUnion":
-        seen: list[PermShuffleTerm] = []
-        for t in terms:
-            if t not in seen:
-                seen.append(t)
-        return cls(alphabet, tuple(seen))
-
-
-def term_member(v: ParikhVector, t: PermShuffleTerm) -> bool:
-    if v.alphabet != t.alphabet:
-        raise ValueError("alphabet mismatch")
-    for a in t.alphabet:
-        surplus = v[a] - t.base[a]
-        if surplus < 0 or (surplus > 0 and a not in t.tail):
-            return False
-    return True
-
-
-def union_member(v: ParikhVector, u: AperiodicUnion) -> bool:
-    return any(term_member(v, t) for t in u.terms)
+def _base_tail(t: DiagonalPeriodic) -> tuple[tuple[int, ...], frozenset[str]]:
+    """(counts of u, Γ) of a term perm(u) ⧢ Γ*; CriterionError if a period is
+    not one."""
+    counts = dict(t.exact)
+    for a, p in t.progs:
+        if p.period != 1:
+            raise CriterionError(
+                f"letter {a!r} has period {p.period}: a perm(u) ⧢ Γ* term needs period one",
+                letter=a,
+            )
+        counts[a] = p.offset
+    return tuple(counts.get(a, 0) for a in t.alphabet), t.support
 
 
 def intervals_to_terms(
     constraints: Sequence[IntervalConstraint], alphabet: Alphabet
-) -> AperiodicUnion:
+) -> DplUnion:
     """Expand a conjunction of interval constraints (at most one per letter)
     into a union of perm(u) ⧢ Γ* terms."""
     by_letter = {}
@@ -127,110 +110,86 @@ def intervals_to_terms(
         else:
             choices.append(list(range(c.lower, c.upper)))
     terms = [
-        PermShuffleTerm(ParikhVector(alphabet, counts), tail)
+        DiagonalPeriodic.perm_shuffle(ParikhVector(alphabet, counts), tail)
         for counts in product(*choices)
     ]
-    return AperiodicUnion.of(alphabet, terms)
+    return DplUnion.of(alphabet, terms)
 
 
-def term_project(t: PermShuffleTerm, keep: Iterable[str]) -> PermShuffleTerm:
-    keep = set(keep)
-    return PermShuffleTerm(t.base.restrict(keep), frozenset(t.tail & keep))
+# Kept as delegating functions, not aliases, because bench/tracing.py traces
+# them by function object under the aperiodic and serialization layers.
+def union_project(u: DplUnion, keep: Iterable[str]) -> DplUnion:
+    return dpl_project(u, keep)
 
 
-def union_project(u: AperiodicUnion, keep: Iterable[str]) -> AperiodicUnion:
-    keep = set(keep)
-    return AperiodicUnion.of(u.alphabet.restrict(keep), [term_project(t, keep) for t in u.terms])
+def union_shuffle(u1: DplUnion, u2: DplUnion) -> DplUnion:
+    return dpl_shuffle(u1, u2)
 
 
-def term_shuffle(t1: PermShuffleTerm, t2: PermShuffleTerm) -> PermShuffleTerm:
-    """perm(u)⧢Γ* ⧢ perm(v)⧢Δ* = perm(u+v)⧢(Γ∪Δ)* on count vectors."""
-    return PermShuffleTerm(t1.base + t2.base, t1.tail | t2.tail)
+def aperiodic_union_to_dict(u: DplUnion) -> dict:
+    return dpl_union_to_dict(u)
 
 
-def union_shuffle(u1: AperiodicUnion, u2: AperiodicUnion) -> AperiodicUnion:
-    if u1.alphabet != u2.alphabet:
-        raise ValueError("alphabet mismatch")
-    return AperiodicUnion.of(
-        u1.alphabet, [term_shuffle(t1, t2) for t1 in u1.terms for t2 in u2.terms]
-    )
-
-
-def term_iterated_shuffle_regular(t: PermShuffleTerm) -> bool:
+def term_iterated_shuffle_regular(t: DiagonalPeriodic) -> bool:
     """Shuffle closure of perm(u) ⧢ Γ* is regular iff u is unary or u uses
     only tail letters."""
-    support = t.base.support()
-    return len(support) <= 1 or support <= t.tail
+    base, tail = _base_tail(t)
+    support = {a for a, n in zip(t.alphabet, base) if n}
+    return len(support) <= 1 or support <= tail
 
 
-def _term_finite_lang(t: PermShuffleTerm) -> FiniteLang:
-    words = [a for a in t.alphabet if a in t.tail]
-    u = word_of(t.base)
-    if u and u not in words:
-        words.append(u)
-    return FiniteLang.of(t.alphabet, words)
+def _piece_lang(alphabet: Alphabet, pieces) -> FiniteLang:
+    """For (u, Γ) pairs, the finite language whose iterated shuffle, shifted by
+    the sum of the u, is the part of the closure that uses every pair: the
+    letters of the tails plus the words u."""
+    tails = frozenset().union(*(tail for _, tail in pieces))
+    words = [a for a in alphabet if a in tails] + [word_of(base) for base, _ in pieces]
+    return FiniteLang.of(alphabet, [w for w in words if w])
 
 
-def term_iterated_shuffle_normal_form(t: PermShuffleTerm) -> DplUnion:
+def term_iterated_shuffle_normal_form(t: DiagonalPeriodic) -> DplUnion:
     """Closure of one term as a union of diagonal periodic languages:
     {ε} ∪ perm(u⁺) ⧢ (shuffle of a* over the tail)."""
+    counts, tail = _base_tail(t)
+    base = ParikhVector(t.alphabet, counts)
     if not term_iterated_shuffle_regular(t):
-        offending = next(
-            a for a in t.alphabet if a in t.base.support() and a not in t.tail
-        )
+        offending = next(a for a in t.alphabet if a in base.support() and a not in tail)
         raise CriterionError(
             f"iterated shuffle criterion fails: base uses several letters and "
             f"letter {offending!r} is outside the tail",
             letter=offending,
         )
-    rep = build_representation(_term_finite_lang(t))
-    shifted = shift_representation(rep, t.base)
+    rep = build_representation(_piece_lang(t.alphabet, [(base, tail)]))
+    shifted = shift_representation(rep, base)
     return dpl_union(DplUnion.epsilon(t.alphabet), shifted)
 
 
 # --- iterated shuffle of whole unions -------------------------------------
 
 
-@dataclass(frozen=True)
-class ShuffleClosure:
-    """Normal form of the iterated shuffle of an AperiodicUnion: a union of
-    diagonal periodic languages plus finitely many exceptional
-    perm(u) ⧢ Γ* terms the periodic part does not cover."""
-
-    periodic: DplUnion
-    exceptional: AperiodicUnion
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.periodic.alphabet
-
-    def member(self, v: ParikhVector) -> bool:
-        return dpl_union_member(v, self.periodic) or union_member(v, self.exceptional)
-
-
-def union_closure_member(v: ParikhVector, u: AperiodicUnion) -> bool:
-    """Exact membership in the iterated shuffle of u, by exhaustive search:
-    pick a non-empty subset of terms, use each base at least once, and leave
-    a remainder supported on the union of the chosen tails."""
+def union_closure_member(v: ParikhVector, u: DplUnion) -> bool:
+    """Exact membership in the iterated shuffle of a union of perm(u) ⧢ Γ*
+    terms, by exhaustive search: pick a non-empty subset of terms, use each
+    base at least once, and leave a remainder supported on the union of the
+    chosen tails."""
     if v.alphabet != u.alphabet:
         raise ValueError("alphabet mismatch")
     if v.total() == 0:
         return True
     k = len(u.alphabet)
-    for r in range(1, len(u.terms) + 1):
-        for subset in combinations(range(len(u.terms)), r):
-            gamma = frozenset().union(*(u.terms[j].tail for j in subset))
-            free = tuple(a in gamma for a in u.alphabet)
-            gens = [
-                u.terms[j].base.counts
-                for j in subset
-                if u.terms[j].base.total() > 0
-            ]
+    pieces = [
+        (base, tuple(a in tail for a in u.alphabet))
+        for base, tail in map(_base_tail, u.terms)
+    ]
+    for r in range(1, len(pieces) + 1):
+        for subset in combinations(pieces, r):
+            gens = [base for base, _ in subset if any(base)]
             rem = list(v.counts)
             for g in gens:
                 rem = [x - y for x, y in zip(rem, g)]
             if any(x < 0 for x in rem):
                 continue
+            free = tuple(map(any, zip(*(tail for _, tail in subset))))
             memo: dict[tuple[int, ...], bool] = {}
 
             def fits(w: tuple[int, ...]) -> bool:
@@ -253,21 +212,6 @@ def union_closure_member(v: ParikhVector, u: AperiodicUnion) -> bool:
     return False
 
 
-def _subset_piece_data(u: AperiodicUnion, subset: tuple[int, ...]):
-    alphabet = u.alphabet
-    base = ParikhVector.zero(alphabet)
-    gamma: set[str] = set()
-    for j in subset:
-        base = base + u.terms[j].base
-        gamma |= u.terms[j].tail
-    words = [a for a in alphabet if a in gamma]
-    for j in subset:
-        w = word_of(u.terms[j].base)
-        if w and w not in words:
-            words.append(w)
-    return base, frozenset(gamma), FiniteLang.of(alphabet, words)
-
-
 def _scaled_sum(alphabet: Alphabet, coeffs, gens) -> tuple[int, ...]:
     return tuple(
         sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(len(alphabet))
@@ -283,10 +227,27 @@ def _class_minima(threshold: int, residues, period: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _absorb_candidates(periodic: DplUnion, gamma: frozenset[str]):
+    """The terms that can absorb families with free letters Γ (period one on
+    every letter of Γ), each as its (index, count) fixed letters and its
+    (index, progression) letters."""
+    out = []
+    for t in periodic.terms:
+        sets = list(enumerate(t.count_sets()))
+        if all(
+            isinstance(s, Progression) and s.period == 1
+            for i, s in sets
+            if periodic.alphabet.letters[i] in gamma
+        ):
+            fixed = tuple((i, s) for i, s in sets if not isinstance(s, Progression))
+            progs = tuple((i, s) for i, s in sets if isinstance(s, Progression))
+            out.append((fixed, progs))
+    return out
+
+
 def _absorb_threshold(
     alphabet: Alphabet,
-    periodic: DplUnion,
-    gamma: frozenset[str],
+    candidates,
     w_low: tuple[int, ...],
     gens,
     residues,
@@ -294,39 +255,30 @@ def _absorb_threshold(
 ) -> Optional[int]:
     """Smallest threshold M so that the residue-class family
     { w_low + Σ c_j g_j + Γ-tails : c_j >= M, c_j ≡ ρ_j (mod period) }
-    sits inside one diagonal periodic term.
+    sits inside one diagonal periodic term among `_absorb_candidates`.
 
     Once the family's least element lies in a term, every other element is
     reached from it by period-multiple generator steps and tail letters, both
     of which preserve term membership, so the single check certifies the
     whole family.
     """
-    for t in periodic.terms:
-        progs = t.prog_dict()
-        if any(a not in progs or progs[a].period != 1 for a in gamma):
-            continue
-        out_ok = True
-        for i, a in enumerate(alphabet):
-            if a in progs:
-                continue
-            if w_low[i] != 0 or any(g[i] != 0 for g in gens):
-                out_ok = False
-                break
-        if not out_ok:
+    for fixed, progs in candidates:
+        # a letter with an exact count must sit at that count and stay there
+        if any(w_low[i] != c or any(g[i] for g in gens) for i, c in fixed):
             continue
         for m in range(1, M_SEARCH_CAP + 1):
             minima = _class_minima(m, residues, period)
             base = tuple(
                 x + y for x, y in zip(w_low, _scaled_sum(alphabet, minima, gens))
             )
-            if dpl_member(ParikhVector(alphabet, base), t):
+            if all(base[i] in p for i, p in progs):
                 return m
     return None
 
 
 def union_iterated_shuffle(
-    u: AperiodicUnion, verify_bound: int = UNION_VERIFY_BOUND
-) -> ShuffleClosure:
+    u: DplUnion, verify_bound: int = UNION_VERIFY_BOUND
+) -> DplUnion:
     """Iterated shuffle of a union of perm(u) ⧢ Γ* terms.
 
     The closure expands into one piece per non-empty subset of terms.  Pieces
@@ -334,24 +286,28 @@ def union_iterated_shuffle(
     piece is split at a threshold M: coefficient vectors below M become
     explicit exceptional terms, and each high-coefficient residue class is
     either absorbed into a periodic term of the passing part or kept as a
-    merged perm(u) ⧢ Γ* term covering it.  The assembled normal form is then
-    verified against exhaustive closure membership up to `verify_bound`; any
-    disagreement means the sufficient criteria did not apply and the
-    computation reports undecided.
+    merged perm(u) ⧢ Γ* term covering it.  The result is the union of the
+    periodic and exceptional terms.  It is verified against exhaustive
+    closure membership up to `verify_bound`; any disagreement means the
+    sufficient criteria did not apply and the computation reports undecided.
     """
     if len(u.terms) > UNION_CLOSURE_MAX_TERMS:
         raise SizeGuardError(
             f"union closure limited to {UNION_CLOSURE_MAX_TERMS} terms, got {len(u.terms)}"
         )
     alphabet = u.alphabet
-    idx = range(len(u.terms))
+    pieces = [(ParikhVector(alphabet, base), tail) for base, tail in map(_base_tail, u.terms)]
+    idx = range(len(pieces))
     subsets = [s for r in idx for s in combinations(idx, r + 1)]
 
     periodic = DplUnion.epsilon(alphabet)
     failing: list[tuple[frozenset[str], tuple[int, ...]]] = []
     for subset in subsets:
-        base, gamma, lang = _subset_piece_data(u, subset)
+        chosen = [pieces[j] for j in subset]
+        lang = _piece_lang(alphabet, chosen)
+        gamma = frozenset().union(*(tail for _, tail in chosen))
         if decide_finite(lang).regular:
+            base = sum((b for b, _ in chosen), ParikhVector.zero(alphabet))
             piece = shift_representation(build_representation(lang), base)
             periodic = dpl_union(periodic, piece)
         else:
@@ -359,20 +315,21 @@ def union_iterated_shuffle(
 
     period = 1
     for t in periodic.terms:
-        for p in t.prog_dict().values():
+        for _, p in t.progs:
             period = math.lcm(period, p.period)
     if period > PERIOD_LCM_CAP:
         raise UndecidedError(
             f"combined period {period} exceeds the absorption cap {PERIOD_LCM_CAP}"
         )
 
-    exceptional: list[PermShuffleTerm] = []
+    exceptional: list[DiagonalPeriodic] = []
     for gamma_a, subset in failing:
-        active = [j for j in subset if u.terms[j].base.total() > 0]
-        gens_all = [u.terms[j].base.counts for j in active]
-        supports = [u.terms[j].base.support() for j in active]
+        active = [j for j in subset if pieces[j][0].total() > 0]
+        gens_all = [pieces[j][0].counts for j in active]
+        supports = [pieces[j][0].support() for j in active]
+        candidates = _absorb_candidates(periodic, gamma_a)
 
-        def sweep(threshold: int, collect: Optional[list[PermShuffleTerm]]) -> int:
+        def sweep(threshold: int, collect: Optional[list[DiagonalPeriodic]]) -> int:
             needed = 1
             for r in range(1, len(active) + 1):
                 for high in combinations(range(len(active)), r):
@@ -384,7 +341,7 @@ def union_iterated_shuffle(
                         )
                         for residues in product(range(period), repeat=r):
                             m = _absorb_threshold(
-                                alphabet, periodic, gamma_a, w_low, gens, residues, period
+                                alphabet, candidates, w_low, gens, residues, period
                             )
                             if m is not None:
                                 needed = max(needed, m)
@@ -400,7 +357,7 @@ def union_iterated_shuffle(
                                     )
                                 )
                                 collect.append(
-                                    PermShuffleTerm(
+                                    DiagonalPeriodic.perm_shuffle(
                                         ParikhVector(alphabet, base), tail
                                     )
                                 )
@@ -418,48 +375,17 @@ def union_iterated_shuffle(
         for coeffs in product(range(1, threshold), repeat=len(active)):
             counts = _scaled_sum(alphabet, coeffs, gens_all)
             exceptional.append(
-                PermShuffleTerm(ParikhVector(alphabet, counts), gamma_a)
+                DiagonalPeriodic.perm_shuffle(ParikhVector(alphabet, counts), gamma_a)
             )
 
-    closure = ShuffleClosure(periodic, AperiodicUnion.of(alphabet, exceptional))
+    closure = DplUnion.of(alphabet, periodic.terms + tuple(exceptional))
     for counts in product(range(verify_bound + 1), repeat=len(alphabet)):
         if sum(counts) > verify_bound:
             continue
         v = ParikhVector(alphabet, counts)
-        if closure.member(v) != union_closure_member(v, u):
+        if dpl_union_member(v, closure) != union_closure_member(v, u):
             raise UndecidedError(
                 "iterated shuffle of this union is undecided by implemented criteria: "
                 f"assembled normal form disagrees with exhaustive membership at {v.as_dict()}"
             )
     return closure
-
-
-# --- serialization --------------------------------------------------------
-
-
-def aperiodic_union_to_dict(u: AperiodicUnion) -> dict:
-    return {
-        "alphabet": list(u.alphabet.letters),
-        "terms": [
-            {
-                "u": {a: c for a, c in t.base.as_dict().items() if c > 0},
-                "gamma": sorted(t.tail),
-            }
-            for t in u.terms
-        ],
-    }
-
-
-def aperiodic_union_to_json(u: AperiodicUnion) -> str:
-    return json.dumps(aperiodic_union_to_dict(u), sort_keys=True)
-
-
-def aperiodic_union_from_dict(data: dict) -> AperiodicUnion:
-    alphabet = Alphabet.of(data["alphabet"])
-    terms = [
-        PermShuffleTerm(
-            ParikhVector.from_counts(alphabet, t["u"]), frozenset(t["gamma"])
-        )
-        for t in data["terms"]
-    ]
-    return AperiodicUnion.of(alphabet, terms)

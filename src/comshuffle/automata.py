@@ -181,46 +181,53 @@ def report(d: Dfa) -> AutomatonReport:
 # --- compilation ----------------------------------------------------------
 
 
-def _counter_step(s: int, k: int, p: int) -> int:
-    top = k + p - 1
-    return s + 1 if s < top else k
-
-
-def _term_start(t: DiagonalPeriodic) -> tuple[int, ...]:
-    return tuple(0 for _ in t.support)
+def _term_counters(t: DiagonalPeriodic) -> dict[str, tuple[int, int, int]]:
+    """Letter -> (slot, k, p) of the term's counters; p = 0 marks an exact count k."""
+    counts = {a: (p.offset, p.period) for a, p in t.progs}
+    counts.update((a, (c, 0)) for a, c in t.exact)
+    letters = [a for a in t.alphabet if a in counts]
+    return {a: (i, *counts[a]) for i, a in enumerate(letters)}
 
 
 def _term_step(
-    t: DiagonalPeriodic, state: Optional[tuple[int, ...]], a: str
+    counters: dict[str, tuple[int, int, int]], state: Optional[tuple[int, ...]], a: str
 ) -> Optional[tuple[int, ...]]:
-    if state is None or a not in t.support:
+    """Advance the letter's counter by one, wrapping k+p-1 back to k; the
+    term dies on a letter without a counter or past an exact count."""
+    if state is None or a not in counters:
         return None
-    out = list(state)
-    for i, b in enumerate(t.support):
-        if b == a:
-            prog = t.prog(b)
-            out[i] = _counter_step(state[i], prog.offset, prog.period)
-    return tuple(out)
+    i, k, p = counters[a]
+    s = state[i]
+    if p == 0:
+        if s == k:
+            return None
+        s += 1
+    else:
+        s = s + 1 if s < k + p - 1 else k
+    return state[:i] + (s,) + state[i + 1 :]
 
 
-def _term_accepts(t: DiagonalPeriodic, state: Optional[tuple[int, ...]]) -> bool:
+def _term_accepts(
+    counters: dict[str, tuple[int, int, int]], state: Optional[tuple[int, ...]]
+) -> bool:
     if state is None:
         return False
-    for i, b in enumerate(t.support):
-        prog = t.prog(b)
-        if state[i] < prog.offset or (state[i] - prog.offset) % prog.period != 0:
-            return False
-    return True
+    return all(
+        s == k if p == 0 else s >= k and (s - k) % p == 0
+        for s, (_, k, p) in zip(state, counters.values())
+    )
 
 
 def dpl_to_dfa(u: DplUnion, guard: int = STATE_GUARD_DEFAULT) -> Dfa:
     """Product of per-term unary counters with disjunctive acceptance.
 
     Each term contributes one capped counter per support letter (advance by
-    one, wrap k+p-1 back to k); a letter outside the term's support kills that
-    term's component.  States are numbered in BFS discovery order.
+    one, wrap k+p-1 back to k) and one per letter with a nonzero exact count
+    (dead past that count); any other letter kills that term's component.
+    States are numbered in BFS discovery order.
     """
-    start = tuple(_term_start(t) for t in u.terms)
+    counters = [_term_counters(t) for t in u.terms]
+    start = tuple(tuple(0 for _ in c) for c in counters)
     number: dict[tuple, int] = {start: 0}
     order = [start]
     delta: dict[tuple[int, str], int] = {}
@@ -229,7 +236,7 @@ def dpl_to_dfa(u: DplUnion, guard: int = STATE_GUARD_DEFAULT) -> Dfa:
         state = frontier.pop(0)
         for a in u.alphabet:
             nxt = tuple(
-                _term_step(t, s, a) for t, s in zip(u.terms, state)
+                _term_step(c, s, a) for c, s in zip(counters, state)
             )
             if nxt not in number:
                 if len(number) >= guard:
@@ -243,7 +250,7 @@ def dpl_to_dfa(u: DplUnion, guard: int = STATE_GUARD_DEFAULT) -> Dfa:
     finals = {
         number[state]
         for state in order
-        if any(_term_accepts(t, s) for t, s in zip(u.terms, state))
+        if any(_term_accepts(c, s) for c, s in zip(counters, state))
     }
     return Dfa.make(u.alphabet, len(number), 0, finals, delta)
 
@@ -420,9 +427,7 @@ def dfa_to_dpl(d: Dfa, bound: Optional[int] = None) -> DplUnion:
         for combo in product(*choices):
             progs = {a: prog for a, prog in combo if prog is not None}
             if term_ok(progs):
-                candidate = DiagonalPeriodic.make(m.alphabet, progs)
-                if candidate not in terms:
-                    terms.append(candidate)
+                terms.append(DiagonalPeriodic.make(m.alphabet, progs))
                 break
         else:
             raise NotInPositiveClassError(

@@ -12,19 +12,9 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
+from typing import Optional, Union as TUnion
 
-from .aperiodic import (
-    AperiodicUnion,
-    PermShuffleTerm,
-    ShuffleClosure,
-    aperiodic_union_to_dict,
-    union_closure_member,
-    union_iterated_shuffle,
-    union_member,
-    union_project,
-    union_shuffle,
-)
+from .aperiodic import union_closure_member, union_iterated_shuffle
 from .automata import (
     STATE_GUARD_DEFAULT,
     dfa_to_dict,
@@ -92,10 +82,10 @@ PROJECT_ORACLE_SLACK = 12
 class Value:
     """Evaluation result: a normal form tagged with its representation kind.
 
-    kind "dpl": DplUnion; "finite": FiniteLang (exact word set);
-    "aperiodic": AperiodicUnion; "closure": ShuffleClosure;
-    "shuffle_finite": FiniteLang whose iterated shuffle is meant (non-regular
-    case, membership only).
+    kind "dpl": DplUnion, the commutative languages (exact letter counts
+    included); "finite": FiniteLang, an exact word set, which need not be
+    permutation closed; "shuffle_finite": FiniteLang whose iterated shuffle is
+    meant (non-regular case, membership only).
     """
 
     kind: str
@@ -121,75 +111,32 @@ def _shuffle_pair_words(w1: str, w2: str) -> set[str]:
 
 
 def _finite_shuffle(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
-    words: list[str] = []
-    for w1 in l1.words:
-        for w2 in l2.words:
-            for w in sorted(_shuffle_pair_words(w1, w2), key=word_order_key):
-                if w not in words:
-                    words.append(w)
+    words = (
+        w
+        for w1 in l1.words
+        for w2 in l2.words
+        for w in sorted(_shuffle_pair_words(w1, w2), key=word_order_key)
+    )
     return FiniteLang.of(l1.alphabet, words)
 
 
-def _finite_to_aperiodic(lang: FiniteLang) -> Optional[AperiodicUnion]:
-    """A finite word set converts exactly when it is permutation closed."""
-    for w in lang.words:
-        if any(x not in lang.words for x in perm_set(w)):
-            return None
-    bases = []
-    for w in lang.words:
-        v = parikh(w, lang.alphabet)
-        if v not in bases:
-            bases.append(v)
-    return AperiodicUnion.of(
-        lang.alphabet, [PermShuffleTerm(v, frozenset()) for v in bases]
+def _finite_union(lang: FiniteLang) -> DplUnion:
+    """The Parikh image of a word set: one exact point term per count vector."""
+    return DplUnion.of(
+        lang.alphabet,
+        (DiagonalPeriodic.perm_shuffle(parikh(w, lang.alphabet)) for w in lang.words),
     )
 
 
-def _dpl_to_aperiodic(u: DplUnion) -> Optional[AperiodicUnion]:
-    """Exact conversion for unions whose progressions all have period one."""
-    terms = []
-    for t in u.terms:
-        progs = t.prog_dict()
-        if any(p.period != 1 for p in progs.values()):
-            return None
-        base = ParikhVector.from_counts(
-            u.alphabet, {a: p.offset for a, p in progs.items()}
-        )
-        terms.append(PermShuffleTerm(base, frozenset(progs)))
-    return AperiodicUnion.of(u.alphabet, terms)
-
-
-def _aperiodic_to_dpl(u: AperiodicUnion) -> Optional[DplUnion]:
-    """Exact conversion when every base is supported inside its tail."""
-    terms = []
-    for t in u.terms:
-        if not t.base.support() <= t.tail:
-            return None
-        from .progressions import Progression
-
-        progs = {a: Progression(t.base[a], 1) for a in t.tail}
-        terms.append(DiagonalPeriodic.make(u.alphabet, progs))
-    return DplUnion.of(u.alphabet, terms)
-
-
-def _as_aperiodic(v: Value) -> Optional[AperiodicUnion]:
-    if v.kind == "aperiodic":
-        return v.payload
-    if v.kind == "finite":
-        return _finite_to_aperiodic(v.payload)
-    if v.kind == "dpl":
-        return _dpl_to_aperiodic(v.payload)
-    return None
-
-
-def _as_dpl(v: Value) -> Optional[DplUnion]:
+def _as_union(v: Value) -> Optional[DplUnion]:
+    """The value as a union of terms; a word set converts exactly when it is
+    permutation closed."""
     if v.kind == "dpl":
         return v.payload
-    if v.kind == "aperiodic":
-        return _aperiodic_to_dpl(v.payload)
     if v.kind == "finite":
-        ap = _finite_to_aperiodic(v.payload)
-        return _aperiodic_to_dpl(ap) if ap is not None else None
+        words = set(v.payload.words)
+        if all(x in words for w in words for x in perm_set(w)):
+            return _finite_union(v.payload)
     return None
 
 
@@ -200,38 +147,32 @@ def _fragment(op: str, kinds) -> FragmentError:
     )
 
 
+def _both_unions(op: str, v1: Value, v2: Value) -> tuple[DplUnion, DplUnion]:
+    u1, u2 = _as_union(v1), _as_union(v2)
+    if u1 is None or u2 is None:
+        raise _fragment(op, (v1.kind, v2.kind))
+    return u1, u2
+
+
 def _union_values(v1: Value, v2: Value) -> Value:
     if v1.kind == "finite" and v2.kind == "finite":
         return Value(
             "finite",
             FiniteLang.of(v1.alphabet, v1.payload.words + v2.payload.words),
         )
-    if v1.kind == "dpl" and v2.kind == "dpl":
-        return Value("dpl", dpl_union(v1.payload, v2.payload))
-    a1, a2 = _as_aperiodic(v1), _as_aperiodic(v2)
-    if a1 is not None and a2 is not None:
-        return Value(
-            "aperiodic", AperiodicUnion.of(a1.alphabet, a1.terms + a2.terms)
-        )
-    d1, d2 = _as_dpl(v1), _as_dpl(v2)
-    if d1 is not None and d2 is not None:
-        return Value("dpl", dpl_union(d1, d2))
-    raise _fragment("union", (v1.kind, v2.kind))
+    return Value("dpl", dpl_union(*_both_unions("union", v1, v2)))
 
 
-def _member_word(v: Value, w: str) -> bool:
-    """Word membership; commutative kinds go through the Parikh vector."""
+def _member_word(v: Value, w: TUnion[str, ParikhVector]) -> bool:
+    """Membership of a word, or of a count vector in a commutative kind;
+    commutative kinds go through the Parikh vector."""
     if v.kind == "finite":
         return w in v.payload.words
-    vec = parikh(w, v.alphabet)
+    vec = parikh(w, v.alphabet) if isinstance(w, str) else w
     if v.kind == "dpl":
         return dpl_union_member(vec, v.payload)
-    if v.kind == "aperiodic":
-        return union_member(vec, v.payload)
-    if v.kind == "closure":
-        return v.payload.member(vec)
     if v.kind == "shuffle_finite":
-        return union_closure_member(vec, _shuffle_base(v.payload))
+        return union_closure_member(vec, _finite_union(v.payload))
     raise TypeError(v.kind)
 
 
@@ -241,35 +182,13 @@ def _intersect_values(v1: Value, v2: Value) -> Value:
         return Value("finite", FiniteLang.of(v1.alphabet, kept))
     if v2.kind == "finite":
         return _intersect_values(v2, v1)
-    d1, d2 = _as_dpl(v1), _as_dpl(v2)
-    if d1 is not None and d2 is not None:
-        return Value("dpl", dpl_intersect(d1, d2))
-    raise _fragment("intersection", (v1.kind, v2.kind))
+    return Value("dpl", dpl_intersect(*_both_unions("intersection", v1, v2)))
 
 
 def _shuffle_values(v1: Value, v2: Value) -> Value:
     if v1.kind == "finite" and v2.kind == "finite":
         return Value("finite", _finite_shuffle(v1.payload, v2.payload))
-    if v1.kind == "dpl" and v2.kind == "dpl":
-        return Value("dpl", dpl_shuffle(v1.payload, v2.payload))
-    a1, a2 = _as_aperiodic(v1), _as_aperiodic(v2)
-    if a1 is not None and a2 is not None:
-        return Value("aperiodic", union_shuffle(a1, a2))
-    d1, d2 = _as_dpl(v1), _as_dpl(v2)
-    if d1 is not None and d2 is not None:
-        return Value("dpl", dpl_shuffle(d1, d2))
-    raise _fragment("shuffle", (v1.kind, v2.kind))
-
-
-def _shuffle_base(lang: FiniteLang) -> AperiodicUnion:
-    bases = []
-    for w in lang.words:
-        v = parikh(w, lang.alphabet)
-        if v not in bases:
-            bases.append(v)
-    return AperiodicUnion.of(
-        lang.alphabet, [PermShuffleTerm(v, frozenset()) for v in bases]
-    )
+    return Value("dpl", dpl_shuffle(*_both_unions("shuffle", v1, v2)))
 
 
 def eval_expr(e: Expr, alphabet: Alphabet, clause_guard: int = DEFAULT_CLAUSE_GUARD) -> Value:
@@ -301,12 +220,12 @@ def eval_expr(e: Expr, alphabet: Alphabet, clause_guard: int = DEFAULT_CLAUSE_GU
             if verdict.regular:
                 return Value("dpl", verdict.representation)
             return Value("shuffle_finite", child.payload)
-        if child.kind == "dpl":
-            return Value("dpl", dpl_iterated_shuffle(child.payload))
-        ap = _as_aperiodic(child)
-        if ap is not None:
-            return Value("closure", union_iterated_shuffle(ap))
-        raise _fragment("iterated shuffle", (child.kind,))
+        if child.kind != "dpl":
+            raise _fragment("iterated shuffle", (child.kind,))
+        if any(t.exact for t in child.payload.terms):
+            # exact counts are handled for perm(u) ⧢ Γ* terms, i.e. period one
+            return Value("dpl", union_iterated_shuffle(child.payload))
+        return Value("dpl", dpl_iterated_shuffle(child.payload))
     if isinstance(e, Project):
         child = eval_expr(e.child, alphabet, clause_guard)
         if child.kind == "dpl":
@@ -316,22 +235,13 @@ def eval_expr(e: Expr, alphabet: Alphabet, clause_guard: int = DEFAULT_CLAUSE_GU
             return Value(
                 "finite", FiniteLang.of(child.alphabet.restrict(e.letters), words)
             )
-        if child.kind == "aperiodic":
-            return Value("aperiodic", union_project(child.payload, e.letters))
         raise _fragment("projection", (child.kind,))
     if isinstance(e, InvProject):
         child = eval_expr(e.child, alphabet, clause_guard)
-        if child.kind == "dpl":
-            return Value("dpl", dpl_inverse_project(child.payload, alphabet))
-        ap = _as_aperiodic(child)
-        if ap is not None:
-            extra = frozenset(a for a in alphabet if a not in child.alphabet)
-            terms = [
-                PermShuffleTerm(t.base.lift(alphabet), t.tail | extra)
-                for t in ap.terms
-            ]
-            return Value("aperiodic", AperiodicUnion.of(alphabet, terms))
-        raise _fragment("inverse projection", (child.kind,))
+        u = _as_union(child)
+        if u is None:
+            raise _fragment("inverse projection", (child.kind,))
+        return Value("dpl", dpl_inverse_project(u, alphabet))
     raise TypeError(f"unknown expression node: {e!r}")
 
 
@@ -412,20 +322,6 @@ def oracle_set(e: Expr, alphabet: Alphabet, bound: int) -> frozenset[ParikhVecto
     raise TypeError(f"unknown expression node: {e!r}")
 
 
-def _value_member_vector(v: Value, vec: ParikhVector) -> bool:
-    if v.kind == "dpl":
-        return dpl_union_member(vec, v.payload)
-    if v.kind == "finite":
-        return any(parikh(w, v.alphabet) == vec for w in v.payload.words)
-    if v.kind == "aperiodic":
-        return union_member(vec, v.payload)
-    if v.kind == "closure":
-        return v.payload.member(vec)
-    if v.kind == "shuffle_finite":
-        return union_closure_member(vec, _shuffle_base(v.payload))
-    raise TypeError(v.kind)
-
-
 # --- output helpers -------------------------------------------------------
 
 
@@ -436,13 +332,6 @@ def value_to_dict(v: Value) -> dict:
         return {
             "alphabet": list(v.alphabet.letters),
             "words": sorted(v.payload.words, key=word_order_key),
-        }
-    if v.kind == "aperiodic":
-        return aperiodic_union_to_dict(v.payload)
-    if v.kind == "closure":
-        return {
-            "periodic": dpl_union_to_dict(v.payload.periodic),
-            "exceptional": aperiodic_union_to_dict(v.payload.exceptional),
         }
     raise FragmentError(
         "no normal form is available for this expression; its iterated shuffle "
@@ -501,7 +390,7 @@ def cmd_regular(args) -> int:
 def _dfa_for(args):
     e, alphabet = _resolve(args)
     value = eval_expr(e, alphabet, args.guard_clauses)
-    u = _as_dpl(value)
+    u = _as_union(value)
     if u is None:
         raise _fragment("automaton compilation", (value.kind,))
     return dpl_to_dfa(u, args.guard_states)
@@ -530,11 +419,12 @@ def cmd_check(args) -> int:
     bound = args.bound
     target = expr_alphabet(e, alphabet)
     expected = VectorSet(target, oracle_set(e, alphabet, bound), bound)
+    if value.kind == "finite":
+        # the oracle gives a word set its Parikh image
+        value = Value("dpl", _finite_union(value.payload))
     actual = VectorSet(
         target,
-        frozenset(
-            v for v in all_vectors(target, bound) if _value_member_vector(value, v)
-        ),
+        frozenset(v for v in all_vectors(target, bound) if _member_word(value, v)),
         bound,
     )
     ok, counterexample = sets_equal(expected, actual)
@@ -583,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("dfa", help="compile to a DFA")
     p.add_argument("expr")
     p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
-    p.add_argument("--json", action="store_true", help="emit JSON (default)")
     p.add_argument("--minimize", action="store_true")
     p.set_defaults(func=cmd_dfa)
 

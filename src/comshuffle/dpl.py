@@ -1,10 +1,12 @@
 """Diagonal periodic languages and their finite unions.
 
 A diagonal periodic language over a support Γ ⊆ Σ constrains each letter of Γ
-to an arithmetic progression of counts and forces every other letter to count
-zero; the empty-support language is {ε}.  Finite unions of these are closed
-under union, intersection, binary shuffle, iterated shuffle and projection,
-which is what this module implements.
+to an arithmetic progression of counts and every other letter to one exact
+count (zero unless stated); the empty-support language with no exact counts is
+{ε}.  A term whose progressions all have period one is perm(u) ⧢ Γ*.  Finite
+unions of these are closed under union, intersection, binary shuffle,
+projection and inverse projection, and, for terms without nonzero exact
+counts, iterated shuffle, which is what this module implements.
 """
 
 from __future__ import annotations
@@ -14,33 +16,74 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from typing import Iterable, Mapping, Optional, Union as TUnion
+from typing import Iterable, Mapping, Optional, Sequence, Union as TUnion
 
-from .errors import SizeGuardError
+from .errors import CriterionError, SizeGuardError
 from .progressions import Progression, prog_intersect, prog_product
 from .words import Alphabet, ParikhVector
 
 DEFAULT_CLAUSE_GUARD = 10_000
 
+# The counts a term allows for one letter: a progression or one exact count.
+CountSet = TUnion[Progression, int]
+
 
 @dataclass(frozen=True)
 class DiagonalPeriodic:
-    """Shuffle over a ∈ Γ of a^{k_a}(a^{p_a})*; letters off Γ count exactly 0."""
+    """Shuffle over a ∈ Γ of a^{k_a}(a^{p_a})* with a^{c_a} for each letter
+    off Γ; `exact` lists the nonzero c_a."""
 
     alphabet: Alphabet
     progs: tuple[tuple[str, Progression], ...]
+    exact: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
         letters = [a for a, _ in self.progs]
         if any(a not in self.alphabet for a in letters):
             raise ValueError("support letter outside alphabet")
-        ordered = [a for a in self.alphabet if a in set(letters)]
-        if letters != ordered:
+        support = set(letters)
+        if letters != [a for a in self.alphabet.letters if a in support]:
             raise ValueError("progs must follow alphabet order without repeats")
+        if self.exact:
+            fixed = [a for a, _ in self.exact]
+            allowed = set(fixed) - support
+            if fixed != [a for a in self.alphabet.letters if a in allowed]:
+                raise ValueError("exact counts must follow alphabet order, off the support")
+            if any(c <= 0 for _, c in self.exact):
+                raise ValueError("exact counts must be positive; zero is the default")
 
     @classmethod
-    def make(cls, alphabet: Alphabet, progs: Mapping[str, Progression]) -> "DiagonalPeriodic":
-        return cls(alphabet, tuple((a, progs[a]) for a in alphabet if a in progs))
+    def make(
+        cls,
+        alphabet: Alphabet,
+        progs: Mapping[str, Progression],
+        exact: Optional[Mapping[str, int]] = None,
+    ) -> "DiagonalPeriodic":
+        letters = alphabet.letters
+        return cls(
+            alphabet,
+            tuple((a, progs[a]) for a in letters if a in progs),
+            tuple((a, exact[a]) for a in letters if exact.get(a)) if exact else (),
+        )
+
+    @classmethod
+    def from_count_sets(cls, alphabet: Alphabet, sets: Sequence[CountSet]) -> "DiagonalPeriodic":
+        """Term from one count set per letter, in alphabet order."""
+        pairs = tuple(zip(alphabet.letters, sets))
+        return cls(
+            alphabet,
+            tuple((a, s) for a, s in pairs if isinstance(s, Progression)),
+            tuple((a, s) for a, s in pairs if not isinstance(s, Progression) and s),
+        )
+
+    @classmethod
+    def perm_shuffle(cls, base: ParikhVector, tail: Iterable[str] = ()) -> "DiagonalPeriodic":
+        """perm(base) ⧢ tail*: exact counts off the tail, period one on it."""
+        tail = set(tail)
+        return cls.from_count_sets(
+            base.alphabet,
+            [Progression(n, 1) if a in tail else n for a, n in zip(base.alphabet, base.counts)],
+        )
 
     @classmethod
     def epsilon(cls, alphabet: Alphabet) -> "DiagonalPeriodic":
@@ -53,6 +96,12 @@ class DiagonalPeriodic:
     @property
     def support(self) -> frozenset[str]:
         return frozenset(a for a, _ in self.progs)
+
+    def count_sets(self) -> tuple[CountSet, ...]:
+        """Per letter of the alphabet, in order: its progression or exact count."""
+        sets: dict[str, CountSet] = dict(self.exact)
+        sets.update(self.progs)
+        return tuple([sets.get(a, 0) for a in self.alphabet.letters])
 
     def prog(self, a: str) -> Optional[Progression]:
         for letter, p in self.progs:
@@ -67,12 +116,13 @@ class DiagonalPeriodic:
 def dpl_member(v: ParikhVector, d: DiagonalPeriodic) -> bool:
     if v.alphabet != d.alphabet:
         raise ValueError("alphabet mismatch")
-    progs = d.prog_dict()
-    for a in d.alphabet:
-        if a in progs:
-            if v[a] not in progs[a]:
+    progs, exact = d.prog_dict(), dict(d.exact)
+    for a, n in zip(d.alphabet, v.counts):
+        p = progs.get(a)
+        if p is None:
+            if n != exact.get(a, 0):
                 return False
-        elif v[a] != 0:
+        elif n not in p:
             return False
     return True
 
@@ -92,11 +142,7 @@ class DplUnion:
 
     @classmethod
     def of(cls, alphabet: Alphabet, terms: Iterable[DiagonalPeriodic]) -> "DplUnion":
-        seen: list[DiagonalPeriodic] = []
-        for t in terms:
-            if t not in seen:
-                seen.append(t)
-        return cls(alphabet, tuple(seen))
+        return cls(alphabet, tuple(dict.fromkeys(terms)))
 
     @classmethod
     def empty(cls, alphabet: Alphabet) -> "DplUnion":
@@ -124,57 +170,68 @@ def dpl_union(u1: DplUnion, u2: DplUnion) -> DplUnion:
     return DplUnion.of(u1.alphabet, u1.terms + u2.terms)
 
 
-def _intersect_terms(t1: DiagonalPeriodic, t2: DiagonalPeriodic) -> Optional[DiagonalPeriodic]:
-    p1, p2 = t1.prog_dict(), t2.prog_dict()
-    merged: dict[str, Progression] = {}
-    for a in t1.alphabet:
-        if a in p1 and a in p2:
-            both = prog_intersect(p1[a], p2[a])
-            if both is None:
-                return None
-            merged[a] = both
-        elif a in p1 or a in p2:
-            # the other side forces count 0: survives only if 0 is attainable,
-            # and then the letter leaves the support
-            if (p1.get(a) or p2.get(a)).offset != 0:
-                return None
-    return DiagonalPeriodic.make(t1.alphabet, merged)
+def _meet(s1: CountSet, s2: CountSet) -> Optional[CountSet]:
+    """Intersection of two count sets; None when empty."""
+    if isinstance(s1, Progression):
+        if isinstance(s2, Progression):
+            return prog_intersect(s1, s2)
+        s1, s2 = s2, s1
+    # s1 is an exact count: it survives only if the other side allows it
+    return s1 if (s1 == s2 if isinstance(s2, int) else s1 in s2) else None
+
+
+def _intersect_terms(
+    alphabet: Alphabet, sets1: Sequence[CountSet], sets2: Sequence[CountSet]
+) -> Optional[DiagonalPeriodic]:
+    sets = []
+    for s1, s2 in zip(sets1, sets2):
+        both = _meet(s1, s2)
+        if both is None:
+            return None
+        sets.append(both)
+    return DiagonalPeriodic.from_count_sets(alphabet, sets)
 
 
 def dpl_intersect(u1: DplUnion, u2: DplUnion) -> DplUnion:
     if u1.alphabet != u2.alphabet:
         raise ValueError("alphabet mismatch")
+    sets2 = [t.count_sets() for t in u2.terms]
     terms = []
     for t1 in u1.terms:
-        for t2 in u2.terms:
-            t = _intersect_terms(t1, t2)
+        sets1 = t1.count_sets()
+        for s2 in sets2:
+            t = _intersect_terms(u1.alphabet, sets1, s2)
             if t is not None:
                 terms.append(t)
     return DplUnion.of(u1.alphabet, terms)
 
 
-def _shuffle_terms(t1: DiagonalPeriodic, t2: DiagonalPeriodic) -> list[DiagonalPeriodic]:
-    p1, p2 = t1.prog_dict(), t2.prog_dict()
-    letters = [a for a in t1.alphabet if a in p1 or a in p2]
-    options: list[list[Progression]] = []
-    for a in letters:
-        if a in p1 and a in p2:
-            options.append(list(prog_product(p1[a], p2[a])))
-        else:
-            options.append([p1.get(a) or p2.get(a)])
-    return [
-        DiagonalPeriodic.make(t1.alphabet, dict(zip(letters, choice)))
-        for choice in product(*options)
-    ]
+def _add_count(s: CountSet, n: int) -> CountSet:
+    return Progression(s.offset + n, s.period) if isinstance(s, Progression) else s + n
+
+
+def _sums(s1: CountSet, s2: CountSet) -> Sequence[CountSet]:
+    """The sumset of two count sets, as a list of count sets."""
+    if isinstance(s1, Progression) and isinstance(s2, Progression):
+        return prog_product(s1, s2)
+    if isinstance(s1, Progression):
+        return [_add_count(s1, s2)]
+    return [_add_count(s2, s1)]
 
 
 def dpl_shuffle(u1: DplUnion, u2: DplUnion) -> DplUnion:
     if u1.alphabet != u2.alphabet:
         raise ValueError("alphabet mismatch")
+    sets2 = [t.count_sets() for t in u2.terms]
     terms = []
     for t1 in u1.terms:
-        for t2 in u2.terms:
-            terms.extend(_shuffle_terms(t1, t2))
+        sets1 = t1.count_sets()
+        for s2 in sets2:
+            options = [_sums(x, y) for x, y in zip(sets1, s2)]
+            terms.extend(
+                DiagonalPeriodic.from_count_sets(u1.alphabet, choice)
+                for choice in product(*options)
+            )
     return DplUnion.of(u1.alphabet, terms)
 
 
@@ -193,6 +250,19 @@ def _iterate_term(t: DiagonalPeriodic) -> DplUnion:
 
 
 def dpl_iterated_shuffle(u: DplUnion) -> DplUnion:
+    """Iterated shuffle of a union whose terms have no nonzero exact count.
+
+    An exact count ties letters together (the closure of perm(ab) is not
+    regular), so such terms are refused; `aperiodic.union_iterated_shuffle`
+    handles unions of perm(u) ⧢ Γ* terms.
+    """
+    for t in u.terms:
+        if t.exact:
+            letter = t.exact[0][0]
+            raise CriterionError(
+                f"iterated shuffle needs progressions only: letter {letter!r} has an exact count",
+                letter=letter,
+            )
     result = DplUnion.epsilon(u.alphabet)
     for t in u.terms:
         result = dpl_shuffle(result, _iterate_term(t))
@@ -203,7 +273,12 @@ def dpl_project(u: DplUnion, keep: Iterable[str]) -> DplUnion:
     keep = set(keep)
     sub = u.alphabet.restrict(keep)
     terms = [
-        DiagonalPeriodic.make(sub, {a: p for a, p in t.progs if a in keep}) for t in u.terms
+        DiagonalPeriodic(
+            sub,
+            tuple(q for q in t.progs if q[0] in keep),
+            tuple(q for q in t.exact if q[0] in keep),
+        )
+        for t in u.terms
     ]
     return DplUnion.of(sub, terms)
 
@@ -212,33 +287,24 @@ def dpl_inverse_project(u: DplUnion, alphabet: Alphabet) -> DplUnion:
     """Lift a union over a subalphabet to `alphabet`; new letters become free."""
     if any(a not in alphabet for a in u.alphabet):
         raise ValueError("union's alphabet must be contained in the target alphabet")
-    new_letters = [a for a in alphabet if a not in u.alphabet]
-    terms = []
-    for t in u.terms:
-        progs = t.prog_dict()
-        progs.update({a: Progression(0, 1) for a in new_letters})
-        terms.append(DiagonalPeriodic.make(alphabet, progs))
+    free = {a: Progression(0, 1) for a in alphabet if a not in u.alphabet}
+    terms = [
+        DiagonalPeriodic.make(alphabet, {**t.prog_dict(), **free}, dict(t.exact))
+        for t in u.terms
+    ]
     return DplUnion.of(alphabet, terms)
 
 
 def dpl_shift(u: DplUnion, v: ParikhVector) -> DplUnion:
-    """Add the fixed vector `v` to every term (the shuffle with perm(v)).
-
-    Exact whenever every term's support contains support(v).  A term missing a
-    letter of support(v) gets that letter added with period 1, which
-    over-approximates the exact count the shuffle would impose; callers that
-    need exactness must arrange full supports beforehand.
-    """
+    """Add the fixed vector `v` to every term (the shuffle with perm(v))."""
     if v.alphabet != u.alphabet:
         raise ValueError("alphabet mismatch")
-    terms = []
-    for t in u.terms:
-        progs = t.prog_dict()
-        shifted = {a: Progression(p.offset + v[a], p.period) for a, p in progs.items()}
-        for a in v.support():
-            if a not in shifted:
-                shifted[a] = Progression(v[a], 1)
-        terms.append(DiagonalPeriodic.make(u.alphabet, shifted))
+    terms = [
+        DiagonalPeriodic.from_count_sets(
+            u.alphabet, [_add_count(s, n) for s, n in zip(t.count_sets(), v.counts)]
+        )
+        for t in u.terms
+    ]
     return DplUnion.of(u.alphabet, terms)
 
 
@@ -381,21 +447,26 @@ def lemma_closed_form(
     d = DiagonalPeriodic.make(alphabet, progs)
     if gamma is not None:
         # clauses carrying a Γ* constraint; empty intersection is a value (None)
-        return _intersect_terms(d, _generator_union(GammaStar(frozenset(gamma)), alphabet).terms[0])
+        star = _generator_union(GammaStar(frozenset(gamma)), alphabet).terms[0]
+        return _intersect_terms(alphabet, d.count_sets(), star.count_sets())
     return d
 
 
 # --- serialization --------------------------------------------------------
 
 
+def _term_to_dict(t: DiagonalPeriodic) -> dict:
+    data = {
+        "support": sorted(t.support),
+        "progs": {a: {"k": p.offset, "p": p.period} for a, p in t.progs},
+    }
+    if t.exact:
+        data["exact"] = dict(t.exact)
+    return data
+
+
 def dpl_union_to_dict(u: DplUnion) -> dict:
-    terms = [
-        {
-            "support": sorted(t.support),
-            "progs": {a: {"k": p.offset, "p": p.period} for a, p in t.progs},
-        }
-        for t in u.terms
-    ]
+    terms = [_term_to_dict(t) for t in u.terms]
     terms.sort(key=lambda t: json.dumps(t, sort_keys=True))
     return {"alphabet": list(u.alphabet.letters), "terms": terms}
 
@@ -411,7 +482,7 @@ def dpl_union_from_dict(data: dict) -> DplUnion:
         progs = {a: Progression(q["k"], q["p"]) for a, q in t["progs"].items()}
         if set(t["support"]) != set(progs):
             raise ValueError("support and progs disagree")
-        terms.append(DiagonalPeriodic.make(alphabet, progs))
+        terms.append(DiagonalPeriodic.make(alphabet, progs, t.get("exact", {})))
     return DplUnion.of(alphabet, terms)
 
 

@@ -35,10 +35,6 @@ class Progression:
         )
 
 
-def prog_membership(n: int, prog: Progression) -> bool:
-    return n in prog
-
-
 @dataclass(frozen=True)
 class CongruenceSystem:
     """Congruences x ≡ r_i (mod m_i) with 0 ≤ r_i < m_i."""
@@ -75,16 +71,6 @@ def crt_solve(system: CongruenceSystem) -> Optional[tuple[int, int]]:
             return None
         r, m = merged
     return r, m
-
-
-def crt_solvable_pairwise(system: CongruenceSystem) -> bool:
-    """The pairwise divisibility condition: gcd(m_i, m_j) | (r_i - r_j)."""
-    cs = system.congruences
-    return all(
-        (cs[i][0] - cs[j][0]) % math.gcd(cs[i][1], cs[j][1]) == 0
-        for i in range(len(cs))
-        for j in range(i + 1, len(cs))
-    )
 
 
 def prog_intersect(p1: Progression, p2: Progression) -> Optional[Progression]:

@@ -35,11 +35,7 @@ class FiniteLang:
 
     @classmethod
     def of(cls, alphabet: Alphabet, words: Iterable[str]) -> "FiniteLang":
-        seen: list[str] = []
-        for w in words:
-            if w not in seen:
-                seen.append(w)
-        return cls(alphabet, tuple(seen))
+        return cls(alphabet, tuple(dict.fromkeys(words)))
 
     def occurring_letters(self) -> list[str]:
         used = set().union(*(set(w) for w in self.words)) if self.words else set()
@@ -123,20 +119,18 @@ def decide_finite(lang: FiniteLang) -> RegularityVerdict:
 def shift_representation(rep: DplUnion, v: ParikhVector) -> DplUnion:
     """Shuffle a representation with the single word language perm(v).
 
-    Non-empty-support terms are shifted in place.  The {ε} term's shift is the
-    exact point perm(v): it is dropped when some shifted term already contains
-    v (always the case when support(v) is contained in the represented
-    language's letters); otherwise it is kept in the over-approximate
-    period-one encoding of `dpl_shift`.
+    Every term other than {ε} is shifted by `dpl_shift`.  The {ε} term's
+    shift is the exact point perm(v): it is dropped when some shifted term
+    already contains v, so that the point does not add a term.  That is always
+    the case for a `build_representation` result with some occurring letter,
+    whose coefficient-zero term has offset zero on every letter.
     """
     if v.total() == 0:
         return rep
-    solid = DplUnion.of(rep.alphabet, [t for t in rep.terms if t.support])
-    had_epsilon = len(solid.terms) != len(rep.terms)
-    shifted = dpl_shift(solid, v)
-    if had_epsilon and not dpl_union_member(v, shifted):
-        eps = DplUnion.epsilon(rep.alphabet)
-        shifted = DplUnion.of(rep.alphabet, shifted.terms + dpl_shift(eps, v).terms)
+    eps = DiagonalPeriodic.epsilon(rep.alphabet)
+    shifted = dpl_shift(DplUnion.of(rep.alphabet, [t for t in rep.terms if t != eps]), v)
+    if eps in rep.terms and not dpl_union_member(v, shifted):
+        shifted = DplUnion.of(rep.alphabet, shifted.terms + (DiagonalPeriodic.perm_shuffle(v),))
     return shifted
 
 

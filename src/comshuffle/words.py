@@ -6,7 +6,6 @@ this module is the single place where actual words are handled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Mapping
@@ -130,14 +129,6 @@ def perm_set(w: str) -> tuple[str, ...]:
     if len(w) > PERM_SET_MAX_LEN:
         raise SizeGuardError(f"perm_set limited to words of length {PERM_SET_MAX_LEN}, got {len(w)}")
     return tuple(sorted({"".join(p) for p in permutations(w)}))
-
-
-def perm_count(w: str) -> int:
-    """Number of distinct rearrangements: the multinomial coefficient."""
-    n = math.factorial(len(w))
-    for a in set(w):
-        n //= math.factorial(w.count(a))
-    return n
 
 
 def project_word(w: str, keep: Iterable[str]) -> str:

@@ -12,8 +12,6 @@ from itertools import product
 import pytest
 
 from comshuffle.aperiodic import (
-    AperiodicUnion,
-    PermShuffleTerm,
     union_closure_member,
     union_iterated_shuffle,
     union_member,
@@ -314,14 +312,14 @@ def test_criterion_09_classification_oracles():
 
 def _example_terms():
     def term(word, tail=""):
-        return PermShuffleTerm(parikh(word, ABC), frozenset(tail))
+        return DiagonalPeriodic.perm_shuffle(parikh(word, ABC), tail)
 
-    item1 = AperiodicUnion.of(ABC, [term("ab"), term("c", "ab")])
-    item2 = AperiodicUnion.of(ABC, [term("ab", "c"), term("ac", "ab")])
-    item3 = AperiodicUnion.of(
+    item1 = DplUnion.of(ABC, [term("ab"), term("c", "ab")])
+    item2 = DplUnion.of(ABC, [term("ab", "c"), term("ac", "ab")])
+    item3 = DplUnion.of(
         ABC, [term("ab"), term("c", "ab"), term("abb", "ab")]
     )
-    item4 = AperiodicUnion.of(
+    item4 = DplUnion.of(
         ABC, [term("ab"), term("c", "ab"), term("abb", "a"), term("bb")]
     )
     return item1, item2, item3, item4
@@ -351,7 +349,9 @@ def test_criterion_10_aperiodic_worked_examples():
             lambda v: union_member(v, item), ABC, EXAMPLE_BOUND
         )
         expected = closure_under_addition(base, EXAMPLE_BOUND)
-        got = predicate_enumerate(closure.member, ABC, EXAMPLE_BOUND)
+        got = predicate_enumerate(
+            lambda v: dpl_union_member(v, closure), ABC, EXAMPLE_BOUND
+        )
         ok, cex = sets_equal(got, expected)
         assert ok, f"normal form off at {cex.as_dict() if cex else None}"
     passline(10, "worked examples: two undecided with evidence, two exact normal forms")

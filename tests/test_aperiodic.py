@@ -1,24 +1,26 @@
 import pytest
 
 from comshuffle.aperiodic import (
-    AperiodicUnion,
     IntervalConstraint,
-    PermShuffleTerm,
     aperiodic_union_from_dict,
     aperiodic_union_to_dict,
-    aperiodic_union_to_json,
     interval_intersect,
     intervals_to_terms,
     term_iterated_shuffle_normal_form,
     term_iterated_shuffle_regular,
-    term_member,
     union_closure_member,
     union_iterated_shuffle,
     union_member,
     union_project,
     union_shuffle,
 )
-from comshuffle.dpl import dpl_union_member
+from comshuffle.dpl import (
+    DiagonalPeriodic,
+    DplUnion,
+    dpl_member,
+    dpl_union_member,
+    dpl_union_to_json,
+)
 from comshuffle.errors import CriterionError, SizeGuardError, UndecidedError
 from comshuffle.oracle import (
     VectorSet,
@@ -34,10 +36,10 @@ ABC = Alphabet.of("abc")
 
 
 def term(alphabet, word, tail=""):
-    return PermShuffleTerm(parikh(word, alphabet), frozenset(tail))
+    return DiagonalPeriodic.perm_shuffle(parikh(word, alphabet), tail)
 
 
-def closure_window(u: AperiodicUnion, bound: int) -> VectorSet:
+def closure_window(u: DplUnion, bound: int) -> VectorSet:
     base = predicate_enumerate(lambda v: union_member(v, u), u.alphabet, bound)
     return closure_under_addition(base, bound)
 
@@ -62,10 +64,10 @@ def test_interval_intersect_requires_same_letter():
 
 def test_term_member():
     t = term(AB, "ab", "a")
-    assert term_member(parikh("ab", AB), t)
-    assert term_member(parikh("aab", AB), t)
-    assert not term_member(parikh("abb", AB), t)
-    assert not term_member(parikh("a", AB), t)
+    assert dpl_member(parikh("ab", AB), t)
+    assert dpl_member(parikh("aab", AB), t)
+    assert not dpl_member(parikh("abb", AB), t)
+    assert not dpl_member(parikh("a", AB), t)
 
 
 def test_intervals_to_terms_matches_predicate():
@@ -85,7 +87,7 @@ def test_intervals_to_terms_unconstrained_letter_is_free():
 
 
 def test_union_project():
-    u = AperiodicUnion.of(ABC, [term(ABC, "ac", "b")])
+    u = DplUnion.of(ABC, [term(ABC, "ac", "b")])
     p = union_project(u, "ab")
     ab = Alphabet.of("ab")
     assert union_member(parikh("ab", ab), p)
@@ -93,8 +95,8 @@ def test_union_project():
 
 
 def test_union_shuffle_adds_bases_and_joins_tails():
-    u1 = AperiodicUnion.of(AB, [term(AB, "a", "a")])
-    u2 = AperiodicUnion.of(AB, [term(AB, "b", "b")])
+    u1 = DplUnion.of(AB, [term(AB, "a", "a")])
+    u2 = DplUnion.of(AB, [term(AB, "b", "b")])
     s = union_shuffle(u1, u2)
     for v in all_vectors(AB, 8):
         assert union_member(v, s) == (v["a"] >= 1 and v["b"] >= 1)
@@ -127,7 +129,7 @@ def test_term_normal_form_matches_closure_oracle():
     for t in cases:
         nf = term_iterated_shuffle_normal_form(t)
         got = predicate_enumerate(lambda v: dpl_union_member(v, nf), AB, 9)
-        expected = closure_window(AperiodicUnion.of(AB, [t]), 9)
+        expected = closure_window(DplUnion.of(AB, [t]), 9)
         ok, cex = sets_equal(got, expected)
         assert ok, f"{t} disagrees at {cex.as_dict() if cex else None}"
 
@@ -139,7 +141,7 @@ def test_term_normal_form_refuses_failing_criterion():
 
 
 def test_union_closure_member_matches_oracle():
-    u = AperiodicUnion.of(AB, [term(AB, "ab"), term(AB, "a", "a")])
+    u = DplUnion.of(AB, [term(AB, "ab"), term(AB, "a", "a")])
     expected = closure_window(u, 10)
     got = predicate_enumerate(lambda v: union_closure_member(v, u), AB, 10)
     ok, cex = sets_equal(got, expected)
@@ -147,16 +149,16 @@ def test_union_closure_member_matches_oracle():
 
 
 def test_union_iterated_shuffle_simple_union():
-    u = AperiodicUnion.of(AB, [term(AB, "a"), term(AB, "bb")])
+    u = DplUnion.of(AB, [term(AB, "a"), term(AB, "bb")])
     closure = union_iterated_shuffle(u)
-    got = predicate_enumerate(closure.member, AB, 10)
+    got = predicate_enumerate(lambda v: dpl_union_member(v, closure), AB, 10)
     expected = closure_window(u, 10)
     ok, cex = sets_equal(got, expected)
     assert ok, f"disagree at {cex.as_dict() if cex else None}"
 
 
 def test_union_iterated_shuffle_undecided_for_equal_counts():
-    u = AperiodicUnion.of(AB, [term(AB, "ab")])
+    u = DplUnion.of(AB, [term(AB, "ab")])
     with pytest.raises(UndecidedError):
         union_iterated_shuffle(u)
 
@@ -164,12 +166,12 @@ def test_union_iterated_shuffle_undecided_for_equal_counts():
 def test_union_iterated_shuffle_term_guard():
     terms = [term(AB, "a" * (i + 1)) for i in range(9)]
     with pytest.raises(SizeGuardError):
-        union_iterated_shuffle(AperiodicUnion.of(AB, terms))
+        union_iterated_shuffle(DplUnion.of(AB, terms))
 
 
 def test_serialization_round_trip():
-    u = AperiodicUnion.of(ABC, [term(ABC, "ab", "c"), term(ABC, "c", "ab")])
+    u = DplUnion.of(ABC, [term(ABC, "ab", "c"), term(ABC, "c", "ab")])
     back = aperiodic_union_from_dict(aperiodic_union_to_dict(u))
-    assert aperiodic_union_to_json(back) == aperiodic_union_to_json(u)
+    assert dpl_union_to_json(back) == dpl_union_to_json(u)
     for v in all_vectors(ABC, 5):
         assert union_member(v, back) == union_member(v, u)

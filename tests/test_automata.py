@@ -148,6 +148,19 @@ def test_dpl_to_dfa_matches_membership():
         assert d.accepts(w) == dpl_union_member(parikh(w, AB), u)
 
 
+def test_dpl_to_dfa_matches_membership_with_exact_counts():
+    u = DplUnion.of(
+        AB,
+        [
+            DiagonalPeriodic.make(AB, {"a": Progression(1, 2)}, {"b": 2}),
+            DiagonalPeriodic.make(AB, {}, {"a": 1, "b": 1}),
+        ],
+    )
+    d = dpl_to_dfa(u)
+    for w in words_upto(AB, 8):
+        assert d.accepts(w) == dpl_union_member(parikh(w, AB), u), w
+
+
 def test_dpl_to_dfa_guard():
     u = from_generators(Fmod("a", 0, 50), AB)
     with pytest.raises(SizeGuardError):

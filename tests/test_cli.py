@@ -1,8 +1,12 @@
 import json
+from itertools import product
 
 import pytest
 
+from comshuffle.automata import dfa_from_dict
 from comshuffle.cli import main
+from comshuffle.dpl import dpl_union_from_dict, dpl_union_member
+from comshuffle.words import Alphabet, parikh
 
 
 def run(capsys, *argv):
@@ -36,6 +40,16 @@ def test_normalize_emits_canonical_json(capsys):
     assert "terms" in data
     # reserialization with sorted keys is byte-identical
     assert out.strip() == json.dumps(data, sort_keys=True)
+
+
+def test_normalize_prints_pinned_bytes(capsys):
+    # a union without exact counts prints no "exact" key
+    code, out, _ = run(capsys, "normalize", "--alphabet", "ab", "F(a,1,2) & F(b,2)")
+    assert code == 0
+    assert out == (
+        '{"alphabet": ["a", "b"], "terms": [{"progs": {"a": {"k": 1, "p": 2}, '
+        '"b": {"k": 2, "p": 1}}, "support": ["a", "b"]}]}\n'
+    )
 
 
 def test_normalize_round_trip_is_stable(capsys):
@@ -95,6 +109,28 @@ def test_check_passes_on_fragment_expression(capsys):
     code, out, _ = run(capsys, "check", "--alphabet", "ab", "--bound", "8", "sh*(F(a,1,2))")
     assert code == 0
     assert out.startswith("PASS")
+
+
+@pytest.mark.parametrize("expr", ["(perm(ab) <> {a}*) & F(a,2)", "perm(ab) | F(a,1,2)"])
+def test_check_passes_with_exact_counts(capsys, expr):
+    code, out, _ = run(capsys, "check", "--alphabet", "abc", "--bound", "8", expr)
+    assert code == 0
+    assert out.startswith("PASS")
+
+
+def test_dfa_of_union_closure_agrees_with_normal_form(capsys):
+    expr = "sh*(perm(abc) | perm(c) <> {a,b}*)"
+    code, out, _ = run(capsys, "normalize", "--alphabet", "abc", expr)
+    assert code == 0
+    u = dpl_union_from_dict(json.loads(out))
+    code, out, _ = run(capsys, "dfa", "--alphabet", "abc", "--minimize", expr)
+    assert code == 0
+    m = dfa_from_dict(json.loads(out))
+    abc = Alphabet.of("abc")
+    for n in range(7):
+        for letters in product("abc", repeat=n):
+            w = "".join(letters)
+            assert m.accepts(w) == dpl_union_member(parikh(w, abc), u), w
 
 
 def test_check_projection(capsys):

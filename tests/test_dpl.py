@@ -18,6 +18,7 @@ from comshuffle.dpl import (
     dpl_iterated_shuffle,
     dpl_member,
     dpl_project,
+    dpl_shift,
     dpl_shuffle,
     dpl_union,
     dpl_union_from_json,
@@ -27,7 +28,7 @@ from comshuffle.dpl import (
     from_generators,
     lemma_closed_form,
 )
-from comshuffle.errors import SizeGuardError
+from comshuffle.errors import CriterionError, SizeGuardError
 from comshuffle.oracle import (
     all_vectors,
     closure_under_addition,
@@ -37,7 +38,7 @@ from comshuffle.oracle import (
     vector_sums,
 )
 from comshuffle.progressions import Progression
-from comshuffle.words import Alphabet, parikh
+from comshuffle.words import Alphabet, ParikhVector, parikh
 
 AB = Alphabet.of("ab")
 ABC = Alphabet.of("abc")
@@ -52,6 +53,20 @@ def random_union(rng: random.Random, alphabet: Alphabet, max_terms: int = 3) -> 
             if rng.random() < 0.7:
                 progs[a] = Progression(rng.randint(0, 3), rng.randint(1, 4))
         terms.append(DiagonalPeriodic.make(alphabet, progs))
+    return DplUnion.of(alphabet, terms)
+
+
+def random_exact_union(rng: random.Random, alphabet: Alphabet, max_terms: int = 3) -> DplUnion:
+    """Terms whose letters carry a progression or an exact count (0 to 2)."""
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        progs, exact = {}, {}
+        for a in alphabet:
+            if rng.random() < 0.5:
+                progs[a] = Progression(rng.randint(0, 3), rng.randint(1, 3))
+            else:
+                exact[a] = rng.randint(0, 2)
+        terms.append(DiagonalPeriodic.make(alphabet, progs, exact))
     return DplUnion.of(alphabet, terms)
 
 
@@ -118,6 +133,52 @@ def test_iterated_shuffle_agrees_with_additive_closure():
         expected = closure_under_addition(dpl_enumerate(u, BOUND), BOUND)
         ok, cex = sets_equal(got, expected)
         assert ok, f"first disagreement at {cex.as_dict() if cex else None}"
+
+
+def test_operations_are_exact_on_exact_counts():
+    rng = random.Random(19)
+    for _ in range(25):
+        u1 = random_exact_union(rng, AB)
+        u2 = random_exact_union(rng, AB)
+        e1, e2 = dpl_enumerate(u1, BOUND), dpl_enumerate(u2, BOUND)
+        assert_same(
+            dpl_intersect(u1, u2),
+            lambda v: dpl_union_member(v, u1) and dpl_union_member(v, u2),
+        )
+        ok, cex = sets_equal(dpl_enumerate(dpl_shuffle(u1, u2), BOUND), vector_sums(e1, e2, BOUND))
+        assert ok, f"shuffle differs at {cex.as_dict() if cex else None}"
+        shift = parikh("abb", AB)
+
+        def shifted_member(v):
+            rest = tuple(x - y for x, y in zip(v.counts, shift.counts))
+            return min(rest) >= 0 and dpl_union_member(ParikhVector(AB, rest), u1)
+
+        assert_same(dpl_shift(u1, shift), shifted_member)
+        # a term's least count of b is at most 3, so counts below 4 decide
+        assert_same(
+            dpl_project(u1, "a"),
+            lambda v: any(
+                dpl_union_member(parikh("a" * v["a"] + "b" * n, AB), u1) for n in range(4)
+            ),
+        )
+        up = dpl_project(u1, "a")
+        assert_same(dpl_inverse_project(up, AB), lambda v: dpl_union_member(v.restrict("a"), up))
+
+
+def test_exact_count_term_membership():
+    d = DiagonalPeriodic.make(AB, {"a": Progression(1, 2)}, {"b": 2})
+    assert d.count_sets() == (Progression(1, 2), 2)
+    assert dpl_member(parikh("abb", AB), d)
+    assert dpl_member(parikh("aaabb", AB), d)
+    assert not dpl_member(parikh("ab", AB), d)
+    assert not dpl_member(parikh("abbb", AB), d)
+
+
+def test_iterated_shuffle_refuses_exact_counts():
+    u = DplUnion.of(AB, [DiagonalPeriodic.make(AB, {"a": Progression(0, 1)}, {"b": 1})])
+    with pytest.raises(CriterionError) as err:
+        dpl_iterated_shuffle(u)
+    assert err.value.letter == "b"
 
 
 def test_iterated_shuffle_contains_epsilon():
@@ -208,6 +269,20 @@ def test_serialization_round_trip():
     for _ in range(10):
         u = random_union(rng, ABC)
         text = dpl_union_to_json(u)
+        back = dpl_union_from_json(text)
+        assert dpl_union_to_json(back) == text
+        ok, _ = sets_equal(dpl_enumerate(u, 6), dpl_enumerate(back, 6))
+        assert ok
+
+
+def test_serialization_round_trip_with_exact_counts():
+    rng = random.Random(29)
+    for _ in range(10):
+        u = random_exact_union(rng, ABC)
+        text = dpl_union_to_json(u)
+        data = json.loads(text)
+        # the key appears only on terms with a nonzero exact count
+        assert all(("exact" in t) == bool(t.get("exact")) for t in data["terms"])
         back = dpl_union_from_json(text)
         assert dpl_union_to_json(back) == text
         ok, _ = sets_equal(dpl_enumerate(u, 6), dpl_enumerate(back, 6))

@@ -8,6 +8,7 @@ from comshuffle.oracle import (
     dpl_enumerate,
     predicate_enumerate,
     sets_equal,
+    vector_sums,
     VectorSet,
 )
 from comshuffle.regularity import (
@@ -103,7 +104,7 @@ def test_shift_representation():
     expected = predicate_enumerate(
         lambda v: v["a"] >= 1 and v["b"] >= 1, AB, BOUND
     )
-    assert moved.vectors <= expected.vectors
+    assert moved.vectors == expected.vectors
     assert parikh("ab", AB) in moved.vectors
     assert parikh("a", AB) not in moved.vectors
     assert len(base.vectors) >= len(moved.vectors)
@@ -115,6 +116,17 @@ def test_decide_prefixed_regular_case():
     vecs = dpl_enumerate(v.representation, 8).vectors
     assert parikh("ab", AB) in vecs
     assert parikh("a", AB) not in vecs
+
+
+def test_decide_prefixed_letter_outside_the_language():
+    # perm(ab) ⧢ a*: b is not in the language, so its count stays exactly 1
+    lang = FiniteLang.of(AB, ["a"])
+    v = decide_prefixed("ab", lang)
+    assert v.regular
+    prefix = VectorSet(AB, frozenset([parikh("ab", AB)]), BOUND)
+    expected = vector_sums(prefix, closure_of(lang, BOUND), BOUND)
+    ok, cex = sets_equal(dpl_enumerate(v.representation, BOUND), expected)
+    assert ok, f"disagree at {cex.as_dict() if cex else None}"
 
 
 def test_decide_prefixed_non_regular_case():
