@@ -21,6 +21,7 @@ from .progressions import Progression
 from .words import Alphabet
 
 STATE_GUARD_DEFAULT = 250_000
+EXTRACT_GRID_GUARD = 100_000
 
 
 @dataclass(frozen=True)
@@ -30,21 +31,26 @@ class Dfa:
     start: int
     finals: frozenset[int]
     delta: tuple[tuple[int, str, int], ...]
+    # letter -> next state of each state, None where the transition is missing
+    table: dict[str, tuple[Optional[int], ...]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if not 0 <= self.start < self.n_states:
             raise ValueError("start state out of range")
-        seen = set()
+        rows = {a: [None] * self.n_states for a in self.alphabet}
         for q, a, r in self.delta:
             if not (0 <= q < self.n_states and 0 <= r < self.n_states):
                 raise ValueError("transition endpoint out of range")
-            if a not in self.alphabet:
+            if a not in rows:
                 raise ValueError(f"transition letter {a!r} outside alphabet")
-            if (q, a) in seen:
+            if rows[a][q] is not None:
                 raise ValueError(f"duplicate transition on ({q}, {a!r})")
-            seen.add((q, a))
+            rows[a][q] = r
         if not self.finals <= set(range(self.n_states)):
             raise ValueError("final state out of range")
+        object.__setattr__(self, "table", {a: tuple(row) for a, row in rows.items()})
 
     @classmethod
     def make(
@@ -58,32 +64,23 @@ class Dfa:
         triples = tuple(sorted((q, a, r) for (q, a), r in delta.items()))
         return cls(alphabet, n_states, start, frozenset(finals), triples)
 
-    @property
-    def transitions(self) -> dict[tuple[int, str], int]:
-        return {(q, a): r for q, a, r in self.delta}
-
-    def step(self, q: Optional[int], a: str) -> Optional[int]:
-        if q is None:
-            return None
-        return self.transitions.get((q, a))
-
     def run(self, w: str) -> Optional[int]:
         q: Optional[int] = self.start
-        table = self.transitions
+        table = self.table
         for a in w:
+            row = table.get(a)
+            if row is None:
+                return None
+            q = row[q]
             if q is None:
                 return None
-            q = table.get((q, a))
         return q
 
     def accepts(self, w: str) -> bool:
         return self.run(w) in self.finals
 
     def is_complete(self) -> bool:
-        table = self.transitions
-        return all(
-            (q, a) in table for q in range(self.n_states) for a in self.alphabet
-        )
+        return all(None not in row for row in self.table.values())
 
 
 def complete(d: Dfa) -> Dfa:
@@ -91,45 +88,57 @@ def complete(d: Dfa) -> Dfa:
     if d.is_complete():
         return d
     sink = d.n_states
-    delta = d.transitions
-    for q in range(d.n_states + 1):
-        for a in d.alphabet:
-            delta.setdefault((q, a), sink)
+    delta = {
+        (q, a): sink if r is None else r
+        for a, row in d.table.items()
+        for q, r in enumerate(row + (sink,))
+    }
     return Dfa.make(d.alphabet, d.n_states + 1, d.start, d.finals, delta)
 
 
 def is_commutative(d: Dfa) -> bool:
     """δ(q, ab) = δ(q, ba) for all states and letter pairs; an undefined
     composite on both sides counts as equal."""
-    letters = d.alphabet.letters
-    for q in range(d.n_states):
-        for i, a in enumerate(letters):
-            for b in letters[i + 1 :]:
-                if d.step(d.step(q, a), b) != d.step(d.step(q, b), a):
+    rows = [d.table[a] for a in d.alphabet]
+    for i, fa in enumerate(rows):
+        for fb in rows[i + 1 :]:
+            for x, y in zip(fa, fb):
+                if (None if x is None else fb[x]) != (None if y is None else fa[y]):
                     return False
     return True
 
 
 def _letter_maps(d: Dfa) -> dict[str, tuple[int, ...]]:
-    c = complete(d)
-    return {
-        a: tuple(c.transitions[(q, a)] for q in range(c.n_states))
-        for a in c.alphabet
-    }
+    return complete(d).table
 
 
 def _rho(f: tuple[int, ...]) -> tuple[int, int]:
-    """Tail and cycle length of iterated composition of a state map."""
-    powers = [tuple(range(len(f)))]
-    seen = {powers[0]: 0}
-    g = powers[0]
-    while True:
-        g = tuple(f[x] for x in g)
-        if g in seen:
-            tail = seen[g]
-            return tail, len(powers) - tail
-        seen[g] = len(powers)
-        powers.append(g)
+    """Tail and cycle length of iterated composition of a state map: the
+    least t and c >= 1 with f^t = f^(t+c).  The tail is the longest path
+    onto a cycle and the cycle is the lcm of the cycle lengths."""
+    depth = [-1] * len(f)  # distance to the cycle, once known
+    tail, cycle = 0, 1
+    for s in range(len(f)):
+        if depth[s] >= 0:
+            continue
+        path: dict[int, int] = {}  # state -> position on the current walk
+        q = s
+        while depth[q] < 0 and q not in path:
+            path[q] = len(path)
+            q = f[q]
+        walk = list(path)
+        if depth[q] < 0:  # the walk closed a new cycle at q
+            entry = path[q]
+            cycle = math.lcm(cycle, len(walk) - entry)
+            for x in walk[entry:]:
+                depth[x] = 0
+            walk = walk[:entry]
+        d = depth[q]
+        for x in reversed(walk):
+            d += 1
+            depth[x] = d
+        tail = max(tail, d)
+    return tail, cycle
 
 
 def is_aperiodic(d: Dfa) -> bool:
@@ -141,12 +150,9 @@ def is_aperiodic(d: Dfa) -> bool:
 
 
 def is_permutation(d: Dfa) -> bool:
-    table = d.transitions
-    for a in d.alphabet:
-        image = [table.get((q, a)) for q in range(d.n_states)]
-        if None in image or len(set(image)) != d.n_states:
-            return False
-    return True
+    return all(
+        None not in row and len(set(row)) == d.n_states for row in d.table.values()
+    )
 
 
 @dataclass(frozen=True)
@@ -241,7 +247,10 @@ def dpl_to_dfa(u: DplUnion, guard: int = STATE_GUARD_DEFAULT) -> Dfa:
             if nxt not in number:
                 if len(number) >= guard:
                     raise SizeGuardError(
-                        f"automaton guard exceeded: more than {guard} states"
+                        f"automaton guard exceeded: more than {guard} states",
+                        guard="states",
+                        limit=guard,
+                        observed=len(number) + 1,
                     )
                 number[nxt] = len(number)
                 order.append(nxt)
@@ -257,55 +266,89 @@ def dpl_to_dfa(u: DplUnion, guard: int = STATE_GUARD_DEFAULT) -> Dfa:
 
 def minimize(d: Dfa) -> Dfa:
     """Minimal complete DFA: complete with a sink, drop unreachable states,
-    merge Nerode-equivalent states by partition refinement, and renumber in
-    BFS order from the start state."""
+    merge Nerode-equivalent states by Hopcroft's partition refinement, and
+    renumber in BFS order from the start state."""
     c = complete(d)
-    table = c.transitions
+    rows = [c.table[a] for a in c.alphabet]
     reachable = [c.start]
     seen = {c.start}
-    i = 0
-    while i < len(reachable):
-        q = reachable[i]
-        i += 1
-        for a in c.alphabet:
-            r = table[(q, a)]
+    for q in reachable:
+        for row in rows:
+            r = row[q]
             if r not in seen:
                 seen.add(r)
                 reachable.append(r)
 
-    block = {q: (q in c.finals) for q in reachable}
-    while True:
-        signature = {
-            q: (block[q], tuple(block[table[(q, a)]] for a in c.alphabet))
-            for q in reachable
-        }
-        fresh = {sig: n for n, sig in enumerate(sorted(set(signature.values()), key=repr))}
-        new_block = {q: fresh[signature[q]] for q in reachable}
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
-
-    number = {block[c.start]: 0}
-    order = [block[c.start]]
-    representative = {block[q]: q for q in reversed(reachable)}
-    i = 0
-    while i < len(order):
-        b = order[i]
-        i += 1
-        q = representative[b]
-        for a in c.alphabet:
-            nb = block[table[(q, a)]]
-            if nb not in number:
-                number[nb] = len(number)
-                order.append(nb)
+    block_of = _hopcroft(c, reachable)
+    number = {block_of[c.start]: 0}
+    representative = [c.start]
+    for q in representative:
+        for row in rows:
+            r = row[q]
+            if block_of[r] not in number:
+                number[block_of[r]] = len(number)
+                representative.append(r)
     delta = {
-        (number[b], a): number[block[table[(representative[b], a)]]]
-        for b in order
-        for a in c.alphabet
+        (i, a): number[block_of[row[q]]]
+        for i, q in enumerate(representative)
+        for a, row in zip(c.alphabet, rows)
     }
-    finals = {number[block[q]] for q in reachable if q in c.finals}
+    finals = {number[block_of[q]] for q in reachable if q in c.finals}
     return Dfa.make(c.alphabet, len(number), 0, finals, delta)
+
+
+def _hopcroft(c: Dfa, states: list[int]) -> dict[int, int]:
+    """Block index of each of `states`, a transition-closed set of the
+    complete DFA `c`, under the coarsest partition that separates finals
+    from non-finals and is stable under every letter (Hopcroft 1971).
+
+    A splitter (block, letter) cuts every block into the states that the
+    letter maps into the block and the rest.  Of the two halves of a split,
+    only the smaller becomes a new splitter unless the old block is still
+    waiting, which bounds the work by O(n |Σ| log n).
+    """
+    inverse = []
+    for row in c.table.values():
+        pre: list[list[int]] = [[] for _ in row]
+        for q in states:
+            pre[row[q]].append(q)
+        inverse.append(pre)
+
+    finals = {q for q in states if q in c.finals}
+    blocks = [b for b in (finals, set(states) - finals) if b]
+    block_of = {q: i for i, b in enumerate(blocks) for q in b}
+    letters = range(len(inverse))
+    waiting = set()
+    if len(blocks) == 2:
+        smaller = 0 if len(blocks[0]) <= len(blocks[1]) else 1
+        waiting = {(smaller, x) for x in letters}
+    while waiting:
+        b, x = waiting.pop()
+        pre = inverse[x]
+        hits: dict[int, list[int]] = {}
+        for r in blocks[b]:
+            for q in pre[r]:
+                hits.setdefault(block_of[q], []).append(q)
+        for y, hit in hits.items():
+            whole = blocks[y]
+            if len(hit) == len(whole):
+                continue
+            if 2 * len(hit) <= len(whole):
+                whole.difference_update(hit)
+                part = set(hit)
+            else:
+                part = whole.difference(hit)
+                whole.intersection_update(hit)
+            z = len(blocks)
+            blocks.append(part)
+            for q in part:
+                block_of[q] = z
+            for x2 in letters:
+                if (y, x2) in waiting or len(part) <= len(whole):
+                    waiting.add((z, x2))
+                else:
+                    waiting.add((y, x2))
+    return block_of
 
 
 def project_automaton(d: Dfa, keep: Iterable[str]) -> Dfa:
@@ -316,8 +359,7 @@ def project_automaton(d: Dfa, keep: Iterable[str]) -> Dfa:
         raise CriterionError("projection construction requires a commutative automaton")
     keep = set(keep)
     sub = d.alphabet.restrict(keep)
-    dropped = [a for a in d.alphabet if a not in keep]
-    table = d.transitions
+    dropped = [d.table[a] for a in d.alphabet if a not in keep]
 
     can_finish = set(d.finals)
     changed = True
@@ -326,19 +368,16 @@ def project_automaton(d: Dfa, keep: Iterable[str]) -> Dfa:
         for q in range(d.n_states):
             if q in can_finish:
                 continue
-            if any(table.get((q, a)) in can_finish for a in dropped):
+            if any(row[q] in can_finish for row in dropped):
                 can_finish.add(q)
                 changed = True
 
     number = {d.start: 0}
     order = [d.start]
     delta: dict[tuple[int, str], int] = {}
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
+    for q in order:
         for a in sub:
-            r = table.get((q, a))
+            r = d.table[a][q]
             if r is None:
                 continue
             if r not in number:
@@ -349,13 +388,43 @@ def project_automaton(d: Dfa, keep: Iterable[str]) -> Dfa:
     return Dfa.make(sub, len(order), 0, finals, delta)
 
 
+def equivalence_witness(d1: Dfa, d2: Dfa) -> Optional[str]:
+    """A shortest word accepted by exactly one of two DFAs over the same
+    alphabet, or None when their languages are equal.  Walks the product
+    machine breadth first from the pair of start states; a missing
+    transition leads to an implicit reject sink (None)."""
+    if d1.alphabet != d2.alphabet:
+        raise ValueError("equivalence check needs one alphabet")
+    rows = [(a, d1.table[a], d2.table[a]) for a in d1.alphabet]
+    start = (d1.start, d2.start)
+    parent: dict[tuple, Optional[tuple]] = {start: None}
+    order = [start]
+    for pair in order:
+        q, r = pair
+        if (q in d1.finals) != (r in d2.finals):
+            word = []
+            while parent[pair] is not None:
+                pair, a = parent[pair]
+                word.append(a)
+            return "".join(reversed(word))
+        for a, row1, row2 in rows:
+            nxt = (
+                None if q is None else row1[q],
+                None if r is None else row2[r],
+            )
+            if nxt not in parent:
+                parent[nxt] = (pair, a)
+                order.append(nxt)
+    return None
+
+
 # --- extraction back to normal form ---------------------------------------
 
 
 def _accepted_rep(d: Dfa, reps: dict[str, tuple[int, int]]):
     """Acceptance of a count vector via the canonical word, with each count
     collapsed onto the tail-plus-cycle representative of its letter."""
-    table = complete(d).transitions
+    table = complete(d).table
 
     def collapse(a: str, n: int) -> int:
         tail, cycle = reps[a]
@@ -364,32 +433,37 @@ def _accepted_rep(d: Dfa, reps: dict[str, tuple[int, int]]):
     def accepted(counts: tuple[int, ...]) -> bool:
         q = d.start
         for a, n in zip(d.alphabet, counts):
+            row = table[a]
             for _ in range(collapse(a, n)):
-                q = table[(q, a)]
+                q = row[q]
         return q in d.finals
 
     return accepted
 
 
-def dfa_to_dpl(d: Dfa, bound: Optional[int] = None) -> DplUnion:
+def dfa_to_dpl(d: Dfa) -> DplUnion:
     """Extract a diagonal periodic union from a commutative DFA whose
-    language lies in the positive class, and verify it by bounded word
-    enumeration.  Inputs outside the class are rejected, either during
-    synthesis (no progression fits an accepted point) or at verification.
+    language lies in the positive class, and verify it exactly: the
+    compiled union must be equivalent to the minimal input DFA.  Inputs
+    outside the class are rejected, either during synthesis (no progression
+    fits an accepted point) or at verification.
     """
     if not is_commutative(d):
         raise CriterionError("extraction requires a commutative automaton")
     m = minimize(d)
-    if bound is None:
-        bound = 2 * (m.n_states + 1)
     maps = _letter_maps(m)
     reps = {a: _rho(maps[a]) for a in m.alphabet}
     accepted = _accepted_rep(m, reps)
 
     grid = [range(sum(reps[a])) for a in m.alphabet]
     total_grid = math.prod(len(r) for r in grid)
-    if total_grid > 100_000:
-        raise SizeGuardError(f"extraction grid too large: {total_grid} points")
+    if total_grid > EXTRACT_GRID_GUARD:
+        raise SizeGuardError(
+            f"extraction grid too large: {total_grid} points",
+            guard="extraction_grid",
+            limit=EXTRACT_GRID_GUARD,
+            observed=total_grid,
+        )
 
     def term_ok(progs: dict[str, Progression]) -> bool:
         # exact containment check: beyond tail + lcm(cycle, period) both the
@@ -435,24 +509,11 @@ def dfa_to_dpl(d: Dfa, bound: Optional[int] = None) -> DplUnion:
             )
 
     union = DplUnion.of(m.alphabet, terms)
-    got = dpl_to_dfa(union)
-    # both machines are commutative, so one canonical word per count vector
-    # covers every word up to the bound
-    def count_tuples(k: int, budget: int):
-        if k == 0:
-            yield ()
-            return
-        for n in range(budget + 1):
-            for rest in count_tuples(k - 1, budget - n):
-                yield (n,) + rest
-
-    for counts in count_tuples(len(m.alphabet), bound):
-        w = "".join(a * n for a, n in zip(m.alphabet, counts))
-        if m.accepts(w) != got.accepts(w):
-            raise NotInPositiveClassError(
-                f"not in positive class (at tested bound {bound}): "
-                f"extraction disagrees on {w!r}"
-            )
+    w = equivalence_witness(m, dpl_to_dfa(union))
+    if w is not None:
+        raise NotInPositiveClassError(
+            f"not in positive class: extraction disagrees on {w!r}"
+        )
     return union
 
 

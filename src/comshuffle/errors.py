@@ -6,7 +6,17 @@ class ComshuffleError(Exception):
 
 
 class SizeGuardError(ComshuffleError):
-    """A resource guard (word length, clause count, state count, bound) was exceeded."""
+    """A resource guard (word length, clause count, state count, bound) was exceeded.
+
+    Raise sites that know their numbers name the `guard`, its `limit` and
+    the `observed` size that crossed it; the others leave them None.
+    """
+
+    def __init__(self, message, guard=None, limit=None, observed=None):
+        super().__init__(message)
+        self.guard = guard
+        self.limit = limit
+        self.observed = observed
 
 
 class CriterionError(ComshuffleError):
@@ -18,7 +28,7 @@ class CriterionError(ComshuffleError):
 
 
 class NotInPositiveClassError(ComshuffleError):
-    """Automaton-to-normal-form extraction failed bounded verification."""
+    """Automaton-to-normal-form extraction found the language outside the positive class."""
 
 
 class ParseError(ComshuffleError):

@@ -4,13 +4,16 @@ from itertools import product
 import pytest
 
 from comshuffle.automata import (
+    EXTRACT_GRID_GUARD,
     Dfa,
+    _rho,
     complete,
     dfa_from_dict,
     dfa_to_dict,
     dfa_to_dot,
     dfa_to_dpl,
     dpl_to_dfa,
+    equivalence_witness,
     is_aperiodic,
     is_commutative,
     is_permutation,
@@ -167,6 +170,34 @@ def test_dpl_to_dfa_guard():
         dpl_to_dfa(u, guard=10)
 
 
+def test_state_guard_carries_its_numbers():
+    u = from_generators(Fmod("a", 0, 50), AB)
+    with pytest.raises(SizeGuardError) as info:
+        dpl_to_dfa(u, guard=10)
+    err = info.value
+    assert (err.guard, err.limit, err.observed) == ("states", 10, 11)
+    assert str(err) == "automaton guard exceeded: more than 10 states"
+
+
+def test_extraction_grid_guard_carries_its_numbers():
+    # every letter adds one modulo 47, so each letter map is a 47-cycle and
+    # the extraction grid has 47^3 points
+    n = 47
+    d = Dfa.make(ABC, n, 0, [0], {(q, a): (q + 1) % n for q in range(n) for a in "abc"})
+    with pytest.raises(SizeGuardError) as info:
+        dfa_to_dpl(d)
+    err = info.value
+    assert (err.guard, err.limit, err.observed) == (
+        "extraction_grid", EXTRACT_GRID_GUARD, n ** 3
+    )
+    assert str(err) == f"extraction grid too large: {n ** 3} points"
+
+
+def test_size_guard_numbers_default_to_none():
+    err = SizeGuardError("some guard")
+    assert (err.guard, err.limit, err.observed) == (None, None, None)
+
+
 def test_minimize_preserves_language():
     rng = random.Random(31)
     for _ in range(20):
@@ -176,6 +207,137 @@ def test_minimize_preserves_language():
         assert m.n_states <= complete(d).n_states
         for w in words_upto(AB, 8):
             assert m.accepts(w) == d.accepts(w)
+
+
+def random_dfa(rng, alphabet):
+    """A DFA with 1 to 8 states, some transitions missing and some states
+    possibly unreachable."""
+    n = rng.randint(1, 8)
+    delta = {
+        (q, a): rng.randrange(n)
+        for q in range(n)
+        for a in alphabet
+        if rng.random() < 0.85
+    }
+    finals = [q for q in range(n) if rng.random() < 0.4]
+    return Dfa.make(alphabet, n, rng.randrange(n), finals, delta)
+
+
+def moore_minimize(d):
+    """Reference minimization: complete with a sink, keep the reachable
+    states, refine by (finality, successor blocks) until the block count is
+    stable, and number the blocks in BFS order from the start state."""
+    n = d.n_states + 1
+    step = {(q, a): n - 1 for q in range(n) for a in d.alphabet}
+    step.update({(q, a): r for q, a, r in d.delta})
+    reachable = [d.start]
+    for q in reachable:
+        for a in d.alphabet:
+            if step[(q, a)] not in reachable:
+                reachable.append(step[(q, a)])
+    block = {q: q in d.finals for q in reachable}
+    while True:
+        sig = {
+            q: (block[q],) + tuple(block[step[(q, a)]] for a in d.alphabet)
+            for q in reachable
+        }
+        ids = {v: i for i, v in enumerate(dict.fromkeys(sig.values()))}
+        if len(ids) == len(set(block.values())):
+            break
+        block = {q: ids[sig[q]] for q in reachable}
+    number = {block[d.start]: 0}
+    rep = [d.start]
+    for q in rep:
+        for a in d.alphabet:
+            r = step[(q, a)]
+            if block[r] not in number:
+                number[block[r]] = len(number)
+                rep.append(r)
+    delta = {
+        (i, a): number[block[step[(q, a)]]] for i, q in enumerate(rep) for a in d.alphabet
+    }
+    finals = {number[block[q]] for q in reachable if q in d.finals}
+    return Dfa.make(d.alphabet, len(number), 0, finals, delta)
+
+
+@pytest.mark.parametrize("alphabet", [AB, ABC])
+def test_minimize_equals_reference_moore_refinement(alphabet):
+    rng = random.Random(41)
+    partial = unreachable = 0
+    for _ in range(100):
+        d = random_dfa(rng, alphabet)
+        partial += not d.is_complete()
+        unreachable += minimize(d).n_states < complete(d).n_states
+        assert minimize(d) == moore_minimize(d), dfa_to_dict(d)
+    assert partial > 20 and unreachable > 20
+
+
+def test_minimize_of_a_long_threshold_chain():
+    d = dpl_to_dfa(from_generators(Fcount("a", 300), AB))
+    m = minimize(d)
+    assert m == moore_minimize(d)
+    assert m.n_states == 301
+
+
+def test_equivalence_of_compiled_and_minimized_machines():
+    rng = random.Random(43)
+    for _ in range(10):
+        d = dpl_to_dfa(random_union(rng, AB))
+        assert equivalence_witness(d, minimize(d)) is None
+        assert equivalence_witness(minimize(d), d) is None
+
+
+def test_equivalence_finds_a_shortest_witness():
+    d40 = dpl_to_dfa(from_generators(Fcount("a", 40), AB))
+    d41 = dpl_to_dfa(from_generators(Fcount("a", 41), AB))
+    assert equivalence_witness(d40, d41) == "a" * 40
+    assert equivalence_witness(minimize(d41), d40) == "a" * 40
+
+
+def test_equivalence_of_incomplete_machine_and_its_completion():
+    d = Dfa.make(AB, 2, 0, [1], {(0, "a"): 1, (1, "b"): 1})
+    assert not d.is_complete()
+    assert equivalence_witness(d, complete(d)) is None
+    assert equivalence_witness(complete(d), d) is None
+    assert equivalence_witness(d, Dfa.make(AB, 1, 0, [], {})) == "a"
+
+
+def test_equivalence_needs_one_alphabet():
+    with pytest.raises(ValueError):
+        equivalence_witness(even_a_dfa(), Dfa.make(ABC, 1, 0, [0], {}))
+
+
+def rho_by_powers(f):
+    """Tail and cycle of f's powers, found by composing f until a power repeats."""
+    powers = [tuple(range(len(f)))]
+    seen = {powers[0]: 0}
+    while True:
+        g = tuple(f[x] for x in powers[-1])
+        if g in seen:
+            return seen[g], len(powers) - seen[g]
+        seen[g] = len(powers)
+        powers.append(g)
+
+
+@pytest.mark.parametrize(
+    "f, expected",
+    [
+        ((1, 2, 0), (0, 3)),  # a pure cycle
+        ((1, 2, 3, 3), (3, 1)),  # a pure tail onto a fixed point
+        # 0->1->2 into the 2-cycle 3<->4, 8 into the 3-cycle 5->6->7
+        ((1, 2, 3, 4, 3, 6, 7, 5, 5), (3, 6)),
+    ],
+)
+def test_rho_matches_composed_powers(f, expected):
+    assert _rho(f) == rho_by_powers(f) == expected
+
+
+def test_rho_matches_composed_powers_on_random_maps():
+    rng = random.Random(47)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        f = tuple(rng.randrange(n) for _ in range(n))
+        assert _rho(f) == rho_by_powers(f), f
 
 
 def test_minimize_is_canonical_on_parity():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +167,25 @@ def test_guard_exit_code(capsys):
         capsys, "dfa", "--alphabet", "ab", "--guard-states", "3", "F(a,1,2) & F(b,1,2)"
     )
     assert code == 4
+
+
+def test_closed_pipe_exits_without_traceback():
+    # about 110 kB of JSON, more than a pipe buffers, so the write meets the
+    # closed pipe while the CLI is still printing
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "comshuffle.cli", "dfa", "--alphabet", "ab", "F(a,3000)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(10) == b'{"alphabet'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
