@@ -74,15 +74,19 @@ def interval_intersect(c1: IntervalConstraint, c2: IntervalConstraint) -> Option
 def _base_tail(t: DiagonalPeriodic) -> tuple[tuple[int, ...], frozenset[str]]:
     """(counts of u, Γ) of a term perm(u) ⧢ Γ*; CriterionError if a period is
     not one."""
-    counts = dict(t.exact)
-    for a, p in t.progs:
-        if p.period != 1:
-            raise CriterionError(
-                f"letter {a!r} has period {p.period}: a perm(u) ⧢ Γ* term needs period one",
-                letter=a,
-            )
-        counts[a] = p.offset
-    return tuple(counts.get(a, 0) for a in t.alphabet), t.support
+    counts, tail = [], []
+    for a, s in zip(t.alphabet, t.sets):
+        if isinstance(s, Progression):
+            if s.period != 1:
+                raise CriterionError(
+                    f"letter {a!r} has period {s.period}: a perm(u) ⧢ Γ* term needs period one",
+                    letter=a,
+                )
+            counts.append(s.offset)
+            tail.append(a)
+        else:
+            counts.append(s)
+    return tuple(counts), frozenset(tail)
 
 
 def intervals_to_terms(
@@ -169,46 +173,32 @@ def term_iterated_shuffle_normal_form(t: DiagonalPeriodic) -> DplUnion:
 
 def union_closure_member(v: ParikhVector, u: DplUnion) -> bool:
     """Exact membership in the iterated shuffle of a union of perm(u) ⧢ Γ*
-    terms, by exhaustive search: pick a non-empty subset of terms, use each
-    base at least once, and leave a remainder supported on the union of the
-    chosen tails."""
+    terms, by exhaustive search over (remainder, tails collected so far):
+    each step takes one term, subtracting its base and collecting its tail,
+    and the vector is a member once the remainder lies on the collected
+    tails."""
     if v.alphabet != u.alphabet:
         raise ValueError("alphabet mismatch")
-    if v.total() == 0:
-        return True
-    k = len(u.alphabet)
     pieces = [
         (base, tuple(a in tail for a in u.alphabet))
         for base, tail in map(_base_tail, u.terms)
     ]
-    for r in range(1, len(pieces) + 1):
-        for subset in combinations(pieces, r):
-            gens = [base for base, _ in subset if any(base)]
-            rem = list(v.counts)
-            for g in gens:
-                rem = [x - y for x, y in zip(rem, g)]
-            if any(x < 0 for x in rem):
-                continue
-            free = tuple(map(any, zip(*(tail for _, tail in subset))))
-            memo: dict[tuple[int, ...], bool] = {}
-
-            def fits(w: tuple[int, ...]) -> bool:
-                if all(w[i] == 0 or free[i] for i in range(k)):
-                    return True
-                cached = memo.get(w)
-                if cached is not None:
-                    return cached
-                memo[w] = False
-                ok = any(
-                    fits(tuple(x - y for x, y in zip(w, g)))
-                    for g in gens
-                    if all(x >= y for x, y in zip(w, g))
+    start = (v.counts, (False,) * len(v.counts))
+    seen = {start}
+    todo = [start]
+    while todo:
+        rem, free = todo.pop()
+        if all(f or not x for x, f in zip(rem, free)):
+            return True
+        for base, tail in pieces:
+            if all(x >= y for x, y in zip(rem, base)):
+                nxt = (
+                    tuple(x - y for x, y in zip(rem, base)),
+                    tuple(f or t for f, t in zip(free, tail)),
                 )
-                memo[w] = ok
-                return ok
-
-            if fits(tuple(rem)):
-                return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
     return False
 
 
@@ -233,12 +223,12 @@ def _absorb_candidates(periodic: DplUnion, gamma: frozenset[str]):
     (index, progression) letters."""
     out = []
     for t in periodic.terms:
-        sets = list(enumerate(t.count_sets()))
         if all(
             isinstance(s, Progression) and s.period == 1
-            for i, s in sets
-            if periodic.alphabet.letters[i] in gamma
+            for a, s in zip(periodic.alphabet, t.sets)
+            if a in gamma
         ):
+            sets = list(enumerate(t.sets))
             fixed = tuple((i, s) for i, s in sets if not isinstance(s, Progression))
             progs = tuple((i, s) for i, s in sets if isinstance(s, Progression))
             out.append((fixed, progs))
@@ -315,8 +305,9 @@ def union_iterated_shuffle(
 
     period = 1
     for t in periodic.terms:
-        for _, p in t.progs:
-            period = math.lcm(period, p.period)
+        for s in t.sets:
+            if isinstance(s, Progression):
+                period = math.lcm(period, s.period)
     if period > PERIOD_LCM_CAP:
         raise UndecidedError(
             f"combined period {period} exceeds the absorption cap {PERIOD_LCM_CAP}"

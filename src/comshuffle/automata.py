@@ -9,13 +9,12 @@ encodes an exact-zero letter and behaves as an implicit reject.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping, Optional
 
-from .dpl import DiagonalPeriodic, DplUnion
+from .dpl import CountSet, DiagonalPeriodic, DplUnion, in_count_set
 from .errors import CriterionError, NotInPositiveClassError, SizeGuardError
 from .progressions import Progression
 from .words import Alphabet
@@ -187,63 +186,39 @@ def report(d: Dfa) -> AutomatonReport:
 # --- compilation ----------------------------------------------------------
 
 
-def _term_counters(t: DiagonalPeriodic) -> dict[str, tuple[int, int, int]]:
-    """Letter -> (slot, k, p) of the term's counters; p = 0 marks an exact count k."""
-    counts = {a: (p.offset, p.period) for a, p in t.progs}
-    counts.update((a, (c, 0)) for a, c in t.exact)
-    letters = [a for a in t.alphabet if a in counts]
-    return {a: (i, *counts[a]) for i, a in enumerate(letters)}
-
-
 def _term_step(
-    counters: dict[str, tuple[int, int, int]], state: Optional[tuple[int, ...]], a: str
+    sets: tuple[CountSet, ...], state: Optional[tuple[int, ...]], i: int
 ) -> Optional[tuple[int, ...]]:
-    """Advance the letter's counter by one, wrapping k+p-1 back to k; the
-    term dies on a letter without a counter or past an exact count."""
-    if state is None or a not in counters:
-        return None
-    i, k, p = counters[a]
-    s = state[i]
-    if p == 0:
-        if s == k:
-            return None
-        s += 1
-    else:
-        s = s + 1 if s < k + p - 1 else k
-    return state[:i] + (s,) + state[i + 1 :]
-
-
-def _term_accepts(
-    counters: dict[str, tuple[int, int, int]], state: Optional[tuple[int, ...]]
-) -> bool:
+    """Advance the count of letter i by one, wrapping k+p-1 back to k on a
+    progression; the term dies past an exact count (at once on a zero)."""
     if state is None:
-        return False
-    return all(
-        s == k if p == 0 else s >= k and (s - k) % p == 0
-        for s, (_, k, p) in zip(state, counters.values())
-    )
+        return None
+    s, n = sets[i], state[i]
+    if isinstance(s, Progression):
+        n = n + 1 if n < s.offset + s.period - 1 else s.offset
+    elif n == s:
+        return None
+    else:
+        n += 1
+    return state[:i] + (n,) + state[i + 1 :]
 
 
 def dpl_to_dfa(u: DplUnion, guard: int = STATE_GUARD_DEFAULT) -> Dfa:
     """Product of per-term unary counters with disjunctive acceptance.
 
-    Each term contributes one capped counter per support letter (advance by
-    one, wrap k+p-1 back to k) and one per letter with a nonzero exact count
-    (dead past that count); any other letter kills that term's component.
+    Each term's component is its tuple of per-letter counts, read against
+    the term's count sets: a progression's count wraps k+p-1 back to k, an
+    exact count's component dies past it, and a dead component stays dead.
     States are numbered in BFS discovery order.
     """
-    counters = [_term_counters(t) for t in u.terms]
-    start = tuple(tuple(0 for _ in c) for c in counters)
+    sets = [t.sets for t in u.terms]
+    start = tuple((0,) * len(u.alphabet) for _ in sets)
     number: dict[tuple, int] = {start: 0}
     order = [start]
     delta: dict[tuple[int, str], int] = {}
-    frontier = [start]
-    while frontier:
-        state = frontier.pop(0)
-        for a in u.alphabet:
-            nxt = tuple(
-                _term_step(c, s, a) for c, s in zip(counters, state)
-            )
+    for state in order:
+        for i, a in enumerate(u.alphabet):
+            nxt = tuple(_term_step(c, s, i) for c, s in zip(sets, state))
             if nxt not in number:
                 if len(number) >= guard:
                     raise SizeGuardError(
@@ -254,12 +229,13 @@ def dpl_to_dfa(u: DplUnion, guard: int = STATE_GUARD_DEFAULT) -> Dfa:
                     )
                 number[nxt] = len(number)
                 order.append(nxt)
-                frontier.append(nxt)
             delta[(number[state], a)] = number[nxt]
     finals = {
         number[state]
         for state in order
-        if any(_term_accepts(c, s) for c, s in zip(counters, state))
+        if any(
+            s is not None and all(map(in_count_set, s, c)) for c, s in zip(sets, state)
+        )
     }
     return Dfa.make(u.alphabet, len(number), 0, finals, delta)
 
@@ -528,10 +504,6 @@ def dfa_to_dict(d: Dfa) -> dict:
         "finals": sorted(d.finals),
         "delta": [[q, a, r] for q, a, r in d.delta],
     }
-
-
-def dfa_to_json(d: Dfa) -> str:
-    return json.dumps(dfa_to_dict(d), sort_keys=True)
 
 
 def dfa_from_dict(data: dict) -> Dfa:

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Union as TUnion
@@ -131,14 +133,22 @@ def _finite_union(lang: FiniteLang) -> DplUnion:
 
 def _as_union(v: Value) -> Optional[DplUnion]:
     """The value as a union of terms; a word set converts exactly when it is
-    permutation closed."""
+    permutation closed, that is when it holds, for each multiset of letters
+    it uses, all the multinomially many words with those letters."""
     if v.kind == "dpl":
         return v.payload
     if v.kind == "finite":
-        words = set(v.payload.words)
-        if all(x in words for w in words for x in perm_set(w)):
+        groups = Counter("".join(sorted(w)) for w in v.payload.words)
+        if all(n == _arrangements(letters) for letters, n in groups.items()):
             return _finite_union(v.payload)
     return None
+
+
+def _arrangements(w: str) -> int:
+    """The number of distinct words with the letters of w."""
+    return math.factorial(len(w)) // math.prod(
+        math.factorial(n) for n in Counter(w).values()
+    )
 
 
 def _fragment(op: str, kinds) -> FragmentError:

@@ -1,12 +1,13 @@
 """Diagonal periodic languages and their finite unions.
 
-A diagonal periodic language over a support Γ ⊆ Σ constrains each letter of Γ
-to an arithmetic progression of counts and every other letter to one exact
-count (zero unless stated); the empty-support language with no exact counts is
-{ε}.  A term whose progressions all have period one is perm(u) ⧢ Γ*.  Finite
-unions of these are closed under union, intersection, binary shuffle,
-projection and inverse projection, and, for terms without nonzero exact
-counts, iterated shuffle, which is what this module implements.
+A diagonal periodic term gives each letter of the alphabet one count set:
+either an arithmetic progression k + pN of counts or one exact count, zero
+meaning that the letter does not occur.  The letters with a progression form
+the term's support Γ; the term whose count sets are all zero is {ε}, and a
+term whose progressions all have period one is perm(u) ⧢ Γ*.  Finite unions
+of these are closed under union, intersection, binary shuffle, projection and
+inverse projection, and, for terms without nonzero exact counts, iterated
+shuffle, which is what this module implements.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence, Union as TUnion
 
@@ -28,29 +29,26 @@ DEFAULT_CLAUSE_GUARD = 10_000
 CountSet = TUnion[Progression, int]
 
 
+def in_count_set(n: int, s: CountSet) -> bool:
+    """Whether the count n lies in the count set s."""
+    return n in s if isinstance(s, Progression) else n == s
+
+
 @dataclass(frozen=True)
 class DiagonalPeriodic:
-    """Shuffle over a ∈ Γ of a^{k_a}(a^{p_a})* with a^{c_a} for each letter
-    off Γ; `exact` lists the nonzero c_a."""
+    """Shuffle over the letters a of the alphabet of a^{k_a}(a^{p_a})* or of
+    a^{c_a}: `sets` holds, in alphabet order, the progression (k_a, p_a) or
+    the exact count c_a of each letter."""
 
     alphabet: Alphabet
-    progs: tuple[tuple[str, Progression], ...]
-    exact: tuple[tuple[str, int], ...] = ()
+    sets: tuple[CountSet, ...]
 
     def __post_init__(self):
-        letters = [a for a, _ in self.progs]
-        if any(a not in self.alphabet for a in letters):
-            raise ValueError("support letter outside alphabet")
-        support = set(letters)
-        if letters != [a for a in self.alphabet.letters if a in support]:
-            raise ValueError("progs must follow alphabet order without repeats")
-        if self.exact:
-            fixed = [a for a, _ in self.exact]
-            allowed = set(fixed) - support
-            if fixed != [a for a in self.alphabet.letters if a in allowed]:
-                raise ValueError("exact counts must follow alphabet order, off the support")
-            if any(c <= 0 for _, c in self.exact):
-                raise ValueError("exact counts must be positive; zero is the default")
+        if len(self.sets) != len(self.alphabet):
+            raise ValueError("a term needs one count set per letter of its alphabet")
+        for s in self.sets:
+            if not isinstance(s, Progression) and (type(s) is not int or s < 0):
+                raise ValueError(f"count set {s!r} is neither a progression nor a count >= 0")
 
     @classmethod
     def make(
@@ -59,49 +57,53 @@ class DiagonalPeriodic:
         progs: Mapping[str, Progression],
         exact: Optional[Mapping[str, int]] = None,
     ) -> "DiagonalPeriodic":
-        letters = alphabet.letters
-        return cls(
-            alphabet,
-            tuple((a, progs[a]) for a in letters if a in progs),
-            tuple((a, exact[a]) for a in letters if exact.get(a)) if exact else (),
-        )
-
-    @classmethod
-    def from_count_sets(cls, alphabet: Alphabet, sets: Sequence[CountSet]) -> "DiagonalPeriodic":
-        """Term from one count set per letter, in alphabet order."""
-        pairs = tuple(zip(alphabet.letters, sets))
-        return cls(
-            alphabet,
-            tuple((a, s) for a, s in pairs if isinstance(s, Progression)),
-            tuple((a, s) for a, s in pairs if not isinstance(s, Progression) and s),
-        )
+        """Term from the progressions of its support letters and the exact
+        counts of the others (zero unless given)."""
+        exact = exact or {}
+        unknown = (set(progs) | set(exact)) - set(alphabet.letters)
+        if unknown:
+            raise ValueError(f"letters {sorted(unknown)} outside the alphabet")
+        clash = [a for a in progs if exact.get(a)]
+        if clash:
+            raise ValueError(f"letter {clash[0]!r} has both a progression and an exact count")
+        return cls(alphabet, tuple(progs.get(a, exact.get(a, 0)) for a in alphabet.letters))
 
     @classmethod
     def perm_shuffle(cls, base: ParikhVector, tail: Iterable[str] = ()) -> "DiagonalPeriodic":
         """perm(base) ⧢ tail*: exact counts off the tail, period one on it."""
         tail = set(tail)
-        return cls.from_count_sets(
+        return cls(
             base.alphabet,
-            [Progression(n, 1) if a in tail else n for a, n in zip(base.alphabet, base.counts)],
+            tuple(Progression(n, 1) if a in tail else n for a, n in zip(base.alphabet, base.counts)),
         )
 
     @classmethod
     def epsilon(cls, alphabet: Alphabet) -> "DiagonalPeriodic":
-        return cls(alphabet, ())
+        return cls(alphabet, (0,) * len(alphabet))
 
     @classmethod
     def sigma_star(cls, alphabet: Alphabet) -> "DiagonalPeriodic":
-        return cls.make(alphabet, {a: Progression(0, 1) for a in alphabet})
+        return cls(alphabet, (Progression(0, 1),) * len(alphabet))
 
-    @property
-    def support(self) -> frozenset[str]:
-        return frozenset(a for a, _ in self.progs)
+    # Derived views, computed on first use: the operations read `sets`,
+    # while serialization and callers that name letters read these.
+    @cached_property
+    def progs(self) -> tuple[tuple[str, Progression], ...]:
+        """(letter, progression) of the support letters, in alphabet order."""
+        return tuple(
+            [(a, s) for a, s in zip(self.alphabet.letters, self.sets) if isinstance(s, Progression)]
+        )
 
-    def count_sets(self) -> tuple[CountSet, ...]:
-        """Per letter of the alphabet, in order: its progression or exact count."""
-        sets: dict[str, CountSet] = dict(self.exact)
-        sets.update(self.progs)
-        return tuple([sets.get(a, 0) for a in self.alphabet.letters])
+    @cached_property
+    def exact(self) -> tuple[tuple[str, int], ...]:
+        """(letter, count) of the nonzero exact counts, in alphabet order."""
+        return tuple(
+            [
+                (a, s)
+                for a, s in zip(self.alphabet.letters, self.sets)
+                if s and not isinstance(s, Progression)
+            ]
+        )
 
     def prog(self, a: str) -> Optional[Progression]:
         for letter, p in self.progs:
@@ -116,15 +118,7 @@ class DiagonalPeriodic:
 def dpl_member(v: ParikhVector, d: DiagonalPeriodic) -> bool:
     if v.alphabet != d.alphabet:
         raise ValueError("alphabet mismatch")
-    progs, exact = d.prog_dict(), dict(d.exact)
-    for a, n in zip(d.alphabet, v.counts):
-        p = progs.get(a)
-        if p is None:
-            if n != exact.get(a, 0):
-                return False
-        elif n not in p:
-            return False
-    return True
+    return all(in_count_set(n, s) for n, s in zip(v.counts, d.sets))
 
 
 @dataclass(frozen=True)
@@ -156,9 +150,6 @@ class DplUnion:
     def sigma_star(cls, alphabet: Alphabet) -> "DplUnion":
         return cls(alphabet, (DiagonalPeriodic.sigma_star(alphabet),))
 
-    def is_empty(self) -> bool:
-        return not self.terms
-
 
 def dpl_union_member(v: ParikhVector, u: DplUnion) -> bool:
     return any(dpl_member(v, t) for t in u.terms)
@@ -177,7 +168,7 @@ def _meet(s1: CountSet, s2: CountSet) -> Optional[CountSet]:
             return prog_intersect(s1, s2)
         s1, s2 = s2, s1
     # s1 is an exact count: it survives only if the other side allows it
-    return s1 if (s1 == s2 if isinstance(s2, int) else s1 in s2) else None
+    return s1 if in_count_set(s1, s2) else None
 
 
 def _intersect_terms(
@@ -189,18 +180,16 @@ def _intersect_terms(
         if both is None:
             return None
         sets.append(both)
-    return DiagonalPeriodic.from_count_sets(alphabet, sets)
+    return DiagonalPeriodic(alphabet, tuple(sets))
 
 
 def dpl_intersect(u1: DplUnion, u2: DplUnion) -> DplUnion:
     if u1.alphabet != u2.alphabet:
         raise ValueError("alphabet mismatch")
-    sets2 = [t.count_sets() for t in u2.terms]
     terms = []
     for t1 in u1.terms:
-        sets1 = t1.count_sets()
-        for s2 in sets2:
-            t = _intersect_terms(u1.alphabet, sets1, s2)
+        for t2 in u2.terms:
+            t = _intersect_terms(u1.alphabet, t1.sets, t2.sets)
             if t is not None:
                 terms.append(t)
     return DplUnion.of(u1.alphabet, terms)
@@ -222,28 +211,29 @@ def _sums(s1: CountSet, s2: CountSet) -> Sequence[CountSet]:
 def dpl_shuffle(u1: DplUnion, u2: DplUnion) -> DplUnion:
     if u1.alphabet != u2.alphabet:
         raise ValueError("alphabet mismatch")
-    sets2 = [t.count_sets() for t in u2.terms]
     terms = []
     for t1 in u1.terms:
-        sets1 = t1.count_sets()
-        for s2 in sets2:
-            options = [_sums(x, y) for x, y in zip(sets1, s2)]
+        for t2 in u2.terms:
+            options = [_sums(x, y) for x, y in zip(t1.sets, t2.sets)]
             terms.extend(
-                DiagonalPeriodic.from_count_sets(u1.alphabet, choice)
-                for choice in product(*options)
+                DiagonalPeriodic(u1.alphabet, choice) for choice in product(*options)
             )
     return DplUnion.of(u1.alphabet, terms)
 
 
 def _iterate_term(t: DiagonalPeriodic) -> DplUnion:
-    """{ε} ∪ ⋃_{i=1..N} (term with offsets scaled by i), N = lcm of the periods."""
-    progs = t.prog_dict()
-    n = reduce(math.lcm, (p.period for p in progs.values()), 1)
+    """{ε} ∪ ⋃_{i=1..N} (term with offsets scaled by i), N = lcm of the periods;
+    the term's other letters have count zero."""
+    n = reduce(math.lcm, (s.period for s in t.sets if isinstance(s, Progression)), 1)
     terms = [DiagonalPeriodic.epsilon(t.alphabet)]
     for i in range(1, n + 1):
         terms.append(
-            DiagonalPeriodic.make(
-                t.alphabet, {a: Progression(i * p.offset, p.period) for a, p in progs.items()}
+            DiagonalPeriodic(
+                t.alphabet,
+                tuple(
+                    Progression(i * s.offset, s.period) if isinstance(s, Progression) else 0
+                    for s in t.sets
+                ),
             )
         )
     return DplUnion.of(t.alphabet, terms)
@@ -272,14 +262,8 @@ def dpl_iterated_shuffle(u: DplUnion) -> DplUnion:
 def dpl_project(u: DplUnion, keep: Iterable[str]) -> DplUnion:
     keep = set(keep)
     sub = u.alphabet.restrict(keep)
-    terms = [
-        DiagonalPeriodic(
-            sub,
-            tuple(q for q in t.progs if q[0] in keep),
-            tuple(q for q in t.exact if q[0] in keep),
-        )
-        for t in u.terms
-    ]
+    kept = [i for i, a in enumerate(u.alphabet) if a in keep]
+    terms = [DiagonalPeriodic(sub, tuple(t.sets[i] for i in kept)) for t in u.terms]
     return DplUnion.of(sub, terms)
 
 
@@ -287,9 +271,10 @@ def dpl_inverse_project(u: DplUnion, alphabet: Alphabet) -> DplUnion:
     """Lift a union over a subalphabet to `alphabet`; new letters become free."""
     if any(a not in alphabet for a in u.alphabet):
         raise ValueError("union's alphabet must be contained in the target alphabet")
-    free = {a: Progression(0, 1) for a in alphabet if a not in u.alphabet}
+    source = [u.alphabet.index(a) if a in u.alphabet else None for a in alphabet]
+    free = Progression(0, 1)
     terms = [
-        DiagonalPeriodic.make(alphabet, {**t.prog_dict(), **free}, dict(t.exact))
+        DiagonalPeriodic(alphabet, tuple(free if i is None else t.sets[i] for i in source))
         for t in u.terms
     ]
     return DplUnion.of(alphabet, terms)
@@ -300,9 +285,7 @@ def dpl_shift(u: DplUnion, v: ParikhVector) -> DplUnion:
     if v.alphabet != u.alphabet:
         raise ValueError("alphabet mismatch")
     terms = [
-        DiagonalPeriodic.from_count_sets(
-            u.alphabet, [_add_count(s, n) for s, n in zip(t.count_sets(), v.counts)]
-        )
+        DiagonalPeriodic(u.alphabet, tuple(map(_add_count, t.sets, v.counts)))
         for t in u.terms
     ]
     return DplUnion.of(u.alphabet, terms)
@@ -448,7 +431,7 @@ def lemma_closed_form(
     if gamma is not None:
         # clauses carrying a Γ* constraint; empty intersection is a value (None)
         star = _generator_union(GammaStar(frozenset(gamma)), alphabet).terms[0]
-        return _intersect_terms(alphabet, d.count_sets(), star.count_sets())
+        return _intersect_terms(alphabet, d.sets, star.sets)
     return d
 
 
@@ -456,12 +439,14 @@ def lemma_closed_form(
 
 
 def _term_to_dict(t: DiagonalPeriodic) -> dict:
+    progs = t.progs
     data = {
-        "support": sorted(t.support),
-        "progs": {a: {"k": p.offset, "p": p.period} for a, p in t.progs},
+        "support": sorted(a for a, _ in progs),
+        "progs": {a: {"k": p.offset, "p": p.period} for a, p in progs},
     }
-    if t.exact:
-        data["exact"] = dict(t.exact)
+    exact = t.exact
+    if exact:
+        data["exact"] = dict(exact)
     return data
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import SizeGuardError
 
@@ -69,13 +69,6 @@ class ParikhVector:
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "ParikhVector":
         return cls(alphabet, (0,) * len(alphabet))
-
-    @classmethod
-    def from_counts(cls, alphabet: Alphabet, counts: Mapping[str, int]) -> "ParikhVector":
-        unknown = set(counts) - set(alphabet.letters)
-        if unknown:
-            raise ValueError(f"letters {sorted(unknown)} not in alphabet")
-        return cls(alphabet, tuple(counts.get(a, 0) for a in alphabet))
 
     def __getitem__(self, a: str) -> int:
         return self.counts[self.alphabet.index(a)]

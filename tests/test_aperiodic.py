@@ -141,11 +141,16 @@ def test_term_normal_form_refuses_failing_criterion():
 
 
 def test_union_closure_member_matches_oracle():
-    u = DplUnion.of(AB, [term(AB, "ab"), term(AB, "a", "a")])
-    expected = closure_window(u, 10)
-    got = predicate_enumerate(lambda v: union_closure_member(v, u), AB, 10)
-    ok, cex = sets_equal(got, expected)
-    assert ok, f"disagree at {cex.as_dict() if cex else None}"
+    unions = [
+        (DplUnion.of(AB, [term(AB, "ab"), term(AB, "a", "a")]), 10),
+        # c* has the zero base: using it only frees the letter c
+        (DplUnion.of(ABC, [term(ABC, "ab"), term(ABC, "", "c"), term(ABC, "bcc")]), 8),
+    ]
+    for u, bound in unions:
+        expected = closure_window(u, bound)
+        got = predicate_enumerate(lambda v: union_closure_member(v, u), u.alphabet, bound)
+        ok, cex = sets_equal(got, expected)
+        assert ok, f"disagree at {cex.as_dict() if cex else None}"
 
 
 def test_union_iterated_shuffle_simple_union():

@@ -37,6 +37,29 @@ def test_member_finite_set_is_literal(capsys):
     assert out.strip() == "false"
 
 
+def test_member_of_a_long_word_in_a_closure(capsys):
+    word = "a" * 1500 + "b" * 1500
+    code, out, _ = run(capsys, "member", "--alphabet", "ab", word, "sh*({ab})")
+    assert code == 0
+    assert out.strip() == "true"
+
+
+def test_member_of_a_long_unary_word_set(capsys):
+    # a one-letter word is its own permutation closure, whatever its length
+    word = "a" * 13
+    code, out, _ = run(capsys, "member", "--alphabet", "a", word, "{%s} | F(a,1)" % word)
+    assert code == 0
+    assert out.strip() == "true"
+
+
+def test_long_word_set_that_is_not_permutation_closed(capsys):
+    code, _, err = run(
+        capsys, "member", "--alphabet", "ab", "a", "{abababababababab} | F(a,1)"
+    )
+    assert code == 3
+    assert "outside the implemented fragment" in err
+
+
 def test_normalize_emits_canonical_json(capsys):
     code, out, _ = run(capsys, "normalize", "--alphabet", "ab", "F(a,1,2) & F(b,2)")
     assert code == 0
@@ -92,6 +115,19 @@ def test_dfa_json(capsys):
     data = json.loads(out)
     assert set(data) >= {"alphabet", "states", "start", "finals", "delta"}
     assert data["states"] == 2
+
+
+def test_dfa_prints_pinned_bytes(capsys):
+    # the unminimized product of per-term counters, in BFS numbering
+    code, out, _ = run(capsys, "dfa", "--alphabet", "abc", "perm(ab) <> {a}*")
+    assert code == 0
+    assert out == (
+        '{"alphabet": ["a", "b", "c"], "delta": [[0, "a", 1], [0, "b", 2], '
+        '[0, "c", 3], [1, "a", 1], [1, "b", 4], [1, "c", 3], [2, "a", 4], '
+        '[2, "b", 3], [2, "c", 3], [3, "a", 3], [3, "b", 3], [3, "c", 3], '
+        '[4, "a", 4], [4, "b", 3], [4, "c", 3]], "finals": [4], "start": 0, '
+        '"states": 5}\n'
+    )
 
 
 def test_dfa_dot(capsys):

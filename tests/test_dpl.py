@@ -21,6 +21,7 @@ from comshuffle.dpl import (
     dpl_shift,
     dpl_shuffle,
     dpl_union,
+    dpl_union_from_dict,
     dpl_union_from_json,
     dpl_union_member,
     dpl_union_to_dict,
@@ -167,11 +168,57 @@ def test_operations_are_exact_on_exact_counts():
 
 def test_exact_count_term_membership():
     d = DiagonalPeriodic.make(AB, {"a": Progression(1, 2)}, {"b": 2})
-    assert d.count_sets() == (Progression(1, 2), 2)
+    assert d.sets == (Progression(1, 2), 2)
     assert dpl_member(parikh("abb", AB), d)
     assert dpl_member(parikh("aaabb", AB), d)
     assert not dpl_member(parikh("ab", AB), d)
     assert not dpl_member(parikh("abbb", AB), d)
+
+
+def test_zero_exact_count_is_the_default():
+    d = DiagonalPeriodic.make(AB, {"a": Progression(1, 2)}, {"b": 0})
+    plain = DiagonalPeriodic.make(AB, {"a": Progression(1, 2)})
+    assert d == plain
+    assert hash(d) == hash(plain)
+    assert d.sets == (Progression(1, 2), 0)
+    assert d.exact == ()
+
+
+def test_make_rejects_letters_outside_the_alphabet():
+    with pytest.raises(ValueError):
+        DiagonalPeriodic.make(AB, {"z": Progression(0, 1)})
+    with pytest.raises(ValueError):
+        DiagonalPeriodic.make(AB, {}, {"z": 1})
+
+
+def test_make_rejects_a_progression_with_an_exact_count():
+    with pytest.raises(ValueError):
+        DiagonalPeriodic.make(AB, {"a": Progression(0, 1)}, {"a": 2})
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        (Progression(0, 1),),
+        (Progression(0, 1), 0, 0),
+        (Progression(0, 1), -1),
+        (Progression(0, 1), 1.0),
+        (Progression(0, 1), True),
+        (Progression(0, 1), None),
+    ],
+)
+def test_term_rejects_malformed_count_sets(sets):
+    with pytest.raises(ValueError):
+        DiagonalPeriodic(AB, sets)
+
+
+def test_json_loader_rejects_letters_outside_the_alphabet():
+    data = {"alphabet": ["a"], "terms": [{"support": ["z"], "progs": {"z": {"k": 1, "p": 1}}}]}
+    with pytest.raises(ValueError):
+        dpl_union_from_dict(data)
+    data = {"alphabet": ["a"], "terms": [{"support": [], "progs": {}, "exact": {"z": 1}}]}
+    with pytest.raises(ValueError):
+        dpl_union_from_dict(data)
 
 
 def test_iterated_shuffle_refuses_exact_counts():
