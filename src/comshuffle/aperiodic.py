@@ -38,6 +38,9 @@ UNION_VERIFY_BOUND = 12
 M_SEARCH_CAP = 40
 PERIOD_LCM_CAP = 24
 THRESHOLD_ITER_CAP = 8
+# States `union_closure_member` may visit; a non-member can reach about n²
+# of them for counts near n.
+CLOSURE_MEMBER_STATE_GUARD = 100_000
 
 # Earlier names of the dpl membership test and parser, still imported by
 # bench/workloads.py.
@@ -176,7 +179,7 @@ def union_closure_member(v: ParikhVector, u: DplUnion) -> bool:
     terms, by exhaustive search over (remainder, tails collected so far):
     each step takes one term, subtracting its base and collecting its tail,
     and the vector is a member once the remainder lies on the collected
-    tails."""
+    tails.  SizeGuardError past `CLOSURE_MEMBER_STATE_GUARD` visited states."""
     if v.alphabet != u.alphabet:
         raise ValueError("alphabet mismatch")
     pieces = [
@@ -199,6 +202,14 @@ def union_closure_member(v: ParikhVector, u: DplUnion) -> bool:
                 if nxt not in seen:
                     seen.add(nxt)
                     todo.append(nxt)
+        if len(seen) > CLOSURE_MEMBER_STATE_GUARD:
+            raise SizeGuardError(
+                f"closure membership guard exceeded: more than "
+                f"{CLOSURE_MEMBER_STATE_GUARD} visited states",
+                guard="closure_member_states",
+                limit=CLOSURE_MEMBER_STATE_GUARD,
+                observed=len(seen),
+            )
     return False
 
 

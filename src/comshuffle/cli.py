@@ -14,7 +14,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional, Union as TUnion
 
 from .aperiodic import union_closure_member, union_iterated_shuffle
@@ -98,6 +98,11 @@ class Value:
     def alphabet(self) -> Alphabet:
         return self.payload.alphabet
 
+    @cached_property
+    def points(self) -> DplUnion:
+        """The Parikh image of a word-set payload, built once per value."""
+        return _finite_union(self.payload)
+
 
 def _shuffle_pair_words(w1: str, w2: str) -> set[str]:
     if len(w1) + len(w2) > WORD_SHUFFLE_MAX_LEN:
@@ -140,7 +145,7 @@ def _as_union(v: Value) -> Optional[DplUnion]:
     if v.kind == "finite":
         groups = Counter("".join(sorted(w)) for w in v.payload.words)
         if all(n == _arrangements(letters) for letters, n in groups.items()):
-            return _finite_union(v.payload)
+            return v.points
     return None
 
 
@@ -183,7 +188,7 @@ def _member_word(v: Value, w: TUnion[str, ParikhVector]) -> bool:
     if v.kind == "dpl":
         return dpl_union_member(vec, v.payload)
     if v.kind == "shuffle_finite":
-        return union_closure_member(vec, _finite_union(v.payload))
+        return union_closure_member(vec, v.points)
     raise TypeError(v.kind)
 
 
@@ -432,7 +437,7 @@ def cmd_check(args) -> int:
     expected = VectorSet(target, oracle_set(e, alphabet, bound), bound)
     if value.kind == "finite":
         # the oracle gives a word set its Parikh image
-        value = Value("dpl", _finite_union(value.payload))
+        value = Value("dpl", value.points)
     actual = VectorSet(
         target,
         frozenset(v for v in all_vectors(target, bound) if _member_word(value, v)),

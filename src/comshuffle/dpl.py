@@ -34,6 +34,18 @@ def in_count_set(n: int, s: CountSet) -> bool:
     return n in s if isinstance(s, Progression) else n == s
 
 
+def count_set_subset(s1: CountSet, s2: CountSet) -> bool:
+    """Whether the count set s1 is contained in the count set s2.
+
+    A progression lies in a progression whose period divides its own and
+    which holds its offset, and never in an exact count; an exact count lies
+    in any count set that holds it.
+    """
+    if isinstance(s1, Progression):
+        return isinstance(s2, Progression) and s2.contains_progression(s1)
+    return in_count_set(s1, s2)
+
+
 @dataclass(frozen=True)
 class DiagonalPeriodic:
     """Shuffle over the letters a of the alphabet of a^{k_a}(a^{p_a})* or of
@@ -155,6 +167,26 @@ def dpl_union_member(v: ParikhVector, u: DplUnion) -> bool:
     return any(dpl_member(v, t) for t in u.terms)
 
 
+def term_subset(t1: DiagonalPeriodic, t2: DiagonalPeriodic) -> bool:
+    """Whether the term t1 is contained in the term t2 (same alphabet): a
+    term is the product of its count sets, so letter by letter."""
+    return all(map(count_set_subset, t1.sets, t2.sets))
+
+
+def maximal_terms(u: DplUnion) -> DplUnion:
+    """The union without the terms that another of its terms contains.
+
+    Distinct terms denote distinct languages, so the kept terms are the
+    maximal ones whatever the order; they keep the order they have in u.
+    """
+    kept: list[DiagonalPeriodic] = []
+    for t in u.terms:
+        if not any(term_subset(t, k) for k in kept):
+            kept = [k for k in kept if not term_subset(k, t)]
+            kept.append(t)
+    return DplUnion(u.alphabet, tuple(kept))
+
+
 def dpl_union(u1: DplUnion, u2: DplUnion) -> DplUnion:
     if u1.alphabet != u2.alphabet:
         raise ValueError("alphabet mismatch")
@@ -222,9 +254,15 @@ def dpl_shuffle(u1: DplUnion, u2: DplUnion) -> DplUnion:
 
 
 def _iterate_term(t: DiagonalPeriodic) -> DplUnion:
-    """{ε} ∪ ⋃_{i=1..N} (term with offsets scaled by i), N = lcm of the periods;
-    the term's other letters have count zero."""
-    n = reduce(math.lcm, (s.period for s in t.sets if isinstance(s, Progression)), 1)
+    """{ε} ∪ ⋃_{i=1..N} (term with offsets scaled by i); the term's other
+    letters have count zero.  N = lcm of p_a / gcd(k_a, p_a) is the order of
+    the offsets modulo the periods: N·k_a is a multiple of p_a, so the term
+    for i + N lies in the term for i."""
+    n = reduce(
+        math.lcm,
+        (s.period // math.gcd(s.offset, s.period) for s in t.sets if isinstance(s, Progression)),
+        1,
+    )
     terms = [DiagonalPeriodic.epsilon(t.alphabet)]
     for i in range(1, n + 1):
         terms.append(
@@ -244,7 +282,9 @@ def dpl_iterated_shuffle(u: DplUnion) -> DplUnion:
 
     An exact count ties letters together (the closure of perm(ab) is not
     regular), so such terms are refused; `aperiodic.union_iterated_shuffle`
-    handles unions of perm(u) ⧢ Γ* terms.
+    handles unions of perm(u) ⧢ Γ* terms.  After each fold step the terms
+    that another term contains are dropped (`maximal_terms`), so the result
+    holds no term contained in another.
     """
     for t in u.terms:
         if t.exact:
@@ -255,7 +295,7 @@ def dpl_iterated_shuffle(u: DplUnion) -> DplUnion:
             )
     result = DplUnion.epsilon(u.alphabet)
     for t in u.terms:
-        result = dpl_shuffle(result, _iterate_term(t))
+        result = maximal_terms(dpl_shuffle(result, _iterate_term(t)))
     return result
 
 

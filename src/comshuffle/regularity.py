@@ -3,23 +3,28 @@
 The criterion: the shuffle closure of perm(L) is regular exactly when every
 letter occurring somewhere in L also occurs as a unary word of L.  When it
 holds, the closure has an explicit representation as a finite union of
-diagonal periodic languages, built here with the bounded-coefficient
-construction; when it fails, bounded Nerode-class growth is reported as
+diagonal periodic languages, built here as one term per minimal offset of
+each residue class; when it fails, bounded Nerode-class growth is reported as
 evidence (never as a proof).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import Callable, Iterable, Optional
 
-from .dpl import DiagonalPeriodic, DplUnion, dpl_shift, dpl_union_member
+from .dpl import DiagonalPeriodic, DplUnion, dpl_shift
 from .errors import CriterionError, SizeGuardError
 from .progressions import Progression
 from .words import Alphabet, ParikhVector, check_word, parikh, word_order_key
 
 NERODE_MAX_BOUND = 12
+# Offsets `build_representation` may keep at once: one antichain per residue
+# class, up to prod m_a classes, and the antichains can be wide.
+REPRESENTATION_OFFSET_GUARD = 100_000
 
 
 @dataclass(frozen=True)
@@ -75,37 +80,71 @@ def _failing_letter(lang: FiniteLang) -> Optional[str]:
 def build_representation(lang: FiniteLang) -> DplUnion:
     """Closure of perm(L) under shuffle, as a union of diagonal periodic languages.
 
-    For each occurring letter one unary word (multiplicity m_a) is selected;
-    the remaining words' coefficients can be bounded by B = prod m_a, so the
-    closure is the union over those coefficient vectors of a single diagonal
-    periodic term, plus {ε}.
+    For each occurring letter one unary word (multiplicity m_a) is selected,
+    so the closure is the union, over the sums o of the other words, of the
+    terms o_a + m_a N on the occurring letters.  The sums are built as a fold
+    over those words.  A word v is added c < ord_v times, ord_v = lcm of
+    m_a / gcd(m_a, v_a), since ord_v copies of v add a multiple of m_a to
+    every letter.  Of the sums in one residue class mod (m_a), only the
+    componentwise-minimal ones are kept: a larger one gives a term that the
+    smaller one's term contains.  No term is contained in another, and the
+    offset-zero term holds ε, so there is no separate {ε} term.
     """
     witness = _failing_letter(lang)
     if witness is not None:
         raise CriterionError(
             f"letter {witness!r} occurs in the language but has no unary word", letter=witness
         )
-    occurring = lang.occurring_letters()
     words = [w for w in lang.words if w]  # ε contributes nothing to the closure
     selected: dict[str, str] = {}
-    for a in occurring:
+    for a in lang.occurring_letters():
         candidates = [w for w in words if set(w) == {a}]
         selected[a] = min(candidates, key=lambda w: (len(w), words.index(w)))
-    mult = {a: len(w) for a, w in selected.items()}
-    bound = 1
-    for m in mult.values():
-        bound *= m
+    # letters that do not occur stay at zero, which modulus one leaves alone
+    mods = tuple(len(selected[a]) if a in selected else 1 for a in lang.alphabet)
     rest = [w for w in words if w not in set(selected.values())]
-    vectors = [parikh(w, lang.alphabet) for w in rest]
-    terms = [DiagonalPeriodic.epsilon(lang.alphabet)]
-    for coeffs in product(range(bound), repeat=len(rest)):
-        offset = ParikhVector.zero(lang.alphabet)
-        for c, v in zip(coeffs, vectors):
-            for _ in range(c):
-                offset = offset + v
-        progs = {a: Progression(offset[a], mult[a]) for a in occurring}
-        terms.append(DiagonalPeriodic.make(lang.alphabet, progs))
-    return DplUnion.of(lang.alphabet, terms)
+    zero = (0,) * len(mods)
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {zero: [zero]}
+    for w in rest:
+        v = parikh(w, lang.alphabet).counts
+        order = reduce(math.lcm, (m // math.gcd(m, x) for m, x in zip(mods, v)), 1)
+        folded: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        kept = 0
+        for offsets in classes.values():
+            for o in offsets:
+                for c in range(order):
+                    x = tuple(y + c * z for y, z in zip(o, v))
+                    residue = tuple(y % m for y, m in zip(x, mods))
+                    kept += _add_minimal(folded.setdefault(residue, []), x)
+                    if kept > REPRESENTATION_OFFSET_GUARD:
+                        raise SizeGuardError(
+                            f"representation guard exceeded: more than "
+                            f"{REPRESENTATION_OFFSET_GUARD} kept offsets",
+                            guard="representation_offsets",
+                            limit=REPRESENTATION_OFFSET_GUARD,
+                            observed=kept,
+                        )
+        classes = folded
+    occurs = [a in selected for a in lang.alphabet]
+    terms = tuple(
+        DiagonalPeriodic(
+            lang.alphabet, tuple(Progression(y, m) if f else 0 for f, y, m in zip(occurs, o, mods))
+        )
+        for offsets in classes.values()
+        for o in offsets
+    )
+    return DplUnion(lang.alphabet, terms)
+
+
+def _add_minimal(antichain: list[tuple[int, ...]], x: tuple[int, ...]) -> int:
+    """Add x to a list of componentwise-incomparable vectors unless one of them
+    lies below it, dropping those above it; returns the change in length."""
+    if any(all(y <= z for y, z in zip(k, x)) for k in antichain):
+        return 0
+    before = len(antichain)
+    antichain[:] = [k for k in antichain if not all(z <= y for y, z in zip(k, x))]
+    antichain.append(x)
+    return len(antichain) - before
 
 
 def decide_finite(lang: FiniteLang) -> RegularityVerdict:
@@ -119,19 +158,12 @@ def decide_finite(lang: FiniteLang) -> RegularityVerdict:
 def shift_representation(rep: DplUnion, v: ParikhVector) -> DplUnion:
     """Shuffle a representation with the single word language perm(v).
 
-    Every term other than {ε} is shifted by `dpl_shift`.  The {ε} term's
-    shift is the exact point perm(v): it is dropped when some shifted term
-    already contains v, so that the point does not add a term.  That is always
-    the case for a `build_representation` result with some occurring letter,
-    whose coefficient-zero term has offset zero on every letter.
+    Every term is shifted by `dpl_shift`.  A `build_representation` result
+    carries no separate {ε} term (its offset-zero term holds ε), so the shift
+    adds no point term beside the term that contains it; only the closure of
+    a language without letters is {ε}, which shifts to the point perm(v).
     """
-    if v.total() == 0:
-        return rep
-    eps = DiagonalPeriodic.epsilon(rep.alphabet)
-    shifted = dpl_shift(DplUnion.of(rep.alphabet, [t for t in rep.terms if t != eps]), v)
-    if eps in rep.terms and not dpl_union_member(v, shifted):
-        shifted = DplUnion.of(rep.alphabet, shifted.terms + (DiagonalPeriodic.perm_shuffle(v),))
-    return shifted
+    return dpl_shift(rep, v)
 
 
 def decide_prefixed(u: str, lang: FiniteLang) -> RegularityVerdict:

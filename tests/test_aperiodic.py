@@ -1,5 +1,6 @@
 import pytest
 
+from comshuffle import aperiodic
 from comshuffle.aperiodic import (
     IntervalConstraint,
     aperiodic_union_from_dict,
@@ -151,6 +152,19 @@ def test_union_closure_member_matches_oracle():
         got = predicate_enumerate(lambda v: union_closure_member(v, u), u.alphabet, bound)
         ok, cex = sets_equal(got, expected)
         assert ok, f"disagree at {cex.as_dict() if cex else None}"
+
+
+def test_union_closure_member_state_guard(monkeypatch):
+    # a^n b^(2n+1) c^n is not in the closure of {ab, bc}: the search visits
+    # about n² states before it can say so
+    monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 50)
+    u = DplUnion.of(ABC, [term(ABC, "ab"), term(ABC, "bc")])
+    assert union_closure_member(parikh("aabbbbcc", ABC), u)
+    with pytest.raises(SizeGuardError) as err:
+        union_closure_member(parikh("a" * 10 + "b" * 21 + "c" * 10, ABC), u)
+    assert err.value.guard == "closure_member_states"
+    assert err.value.limit == 50
+    assert err.value.observed > 50
 
 
 def test_union_iterated_shuffle_simple_union():

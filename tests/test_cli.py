@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from comshuffle import aperiodic, cli, regularity
 from comshuffle.automata import dfa_from_dict
 from comshuffle.cli import main
 from comshuffle.dpl import dpl_union_from_dict, dpl_union_member
@@ -203,6 +204,34 @@ def test_guard_exit_code(capsys):
         capsys, "dfa", "--alphabet", "ab", "--guard-states", "3", "F(a,1,2) & F(b,1,2)"
     )
     assert code == 4
+
+
+def test_check_builds_the_parikh_image_once(capsys, monkeypatch):
+    # the Parikh image of {ab,bc,ca} is built once, not once per vector
+    calls = []
+    build = cli._finite_union
+    monkeypatch.setattr(cli, "_finite_union", lambda lang: calls.append(lang) or build(lang))
+    code, out, _ = run(capsys, "check", "--alphabet", "abc", "--bound", "6", "sh*({ab,bc,ca})")
+    assert code == 0
+    assert out.startswith("PASS")
+    assert len(calls) == 1
+
+
+def test_closure_member_guard_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 50)
+    word = "a" * 10 + "b" * 21 + "c" * 10
+    code, out, err = run(capsys, "member", "--alphabet", "abc", word, "sh*({ab,bc})")
+    assert code == 4
+    assert out == ""
+    assert "closure membership guard" in err
+
+
+def test_representation_guard_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(regularity, "REPRESENTATION_OFFSET_GUARD", 5)
+    code, out, err = run(capsys, "regular", "--alphabet", "ab", "sh*({aaaaa,bbbbb,ab,aab,abb})")
+    assert code == 4
+    assert out == ""
+    assert "representation guard" in err
 
 
 def test_closed_pipe_exits_without_traceback():

@@ -1,0 +1,158 @@
+"""The reduced normal form: the iterated shuffle and the shuffle-closure
+representation keep no term that another one contains, and say exactly what
+the unpruned constructions say."""
+
+import math
+import random
+import time
+from functools import reduce
+from itertools import product
+
+import pytest
+
+from comshuffle.automata import dpl_to_dfa, equivalence_witness, minimize
+from comshuffle.dpl import (
+    DiagonalPeriodic,
+    DplUnion,
+    count_set_subset,
+    dpl_iterated_shuffle,
+    dpl_shuffle,
+    term_subset,
+)
+from comshuffle.progressions import Progression
+from comshuffle.regularity import FiniteLang, build_representation
+from comshuffle.words import Alphabet, parikh
+
+AB = Alphabet.of("ab")
+ABC = Alphabet.of("abc")
+
+
+def reference_iterated_shuffle(u: DplUnion) -> DplUnion:
+    """The unpruned fold: each term iterated up to the lcm of its periods."""
+    result = DplUnion.epsilon(u.alphabet)
+    for t in u.terms:
+        n = reduce(math.lcm, (s.period for s in t.sets if isinstance(s, Progression)), 1)
+        powers = [DiagonalPeriodic.epsilon(u.alphabet)] + [
+            DiagonalPeriodic(
+                u.alphabet,
+                tuple(
+                    Progression(i * s.offset, s.period) if isinstance(s, Progression) else 0
+                    for s in t.sets
+                ),
+            )
+            for i in range(1, n + 1)
+        ]
+        result = dpl_shuffle(result, DplUnion.of(u.alphabet, powers))
+    return result
+
+
+def reference_representation(lang: FiniteLang) -> DplUnion:
+    """{ε} plus one term per coefficient vector in [0, prod m_a)^|rest|."""
+    words = [w for w in lang.words if w]
+    selected = {}
+    for a in lang.occurring_letters():
+        unary = [w for w in words if set(w) == {a}]
+        selected[a] = min(unary, key=lambda w: (len(w), words.index(w)))
+    bound = math.prod(len(w) for w in selected.values())
+    rest = [parikh(w, lang.alphabet).counts for w in words if w not in set(selected.values())]
+    terms = [DiagonalPeriodic.epsilon(lang.alphabet)]
+    for coeffs in product(range(bound), repeat=len(rest)):
+        offset = [sum(c * v[i] for c, v in zip(coeffs, rest)) for i in range(len(lang.alphabet))]
+        progs = {
+            a: Progression(offset[lang.alphabet.index(a)], len(w)) for a, w in selected.items()
+        }
+        terms.append(DiagonalPeriodic.make(lang.alphabet, progs))
+    return DplUnion.of(lang.alphabet, terms)
+
+
+def random_union(rng: random.Random, alphabet: Alphabet, size: int, top: int) -> DplUnion:
+    """Up to `size` terms with offsets below `top` and periods up to it; the
+    unpruned reference grows fast with each, so three letters get less."""
+    terms = []
+    for _ in range(rng.randint(1, size)):
+        progs = {}
+        for a in alphabet:
+            if rng.random() < 0.7:
+                progs[a] = Progression(rng.randint(0, top - 1), rng.randint(1, top))
+        terms.append(DiagonalPeriodic.make(alphabet, progs))
+    return DplUnion.of(alphabet, terms)
+
+
+def random_lang(rng: random.Random, alphabet: Alphabet, top: int) -> FiniteLang:
+    """Unary words up to length `top`: the reference builds (prod m_a)^|rest| terms."""
+    occurring = rng.sample(alphabet.letters, rng.randint(1, len(alphabet)))
+    words = [a * rng.randint(1, top) for a in occurring]
+    for _ in range(rng.randint(0, 2)):
+        words.append("".join(rng.choice(occurring) for _ in range(rng.randint(2, 3))))
+    return FiniteLang.of(alphabet, words)
+
+
+def assert_antichain(u: DplUnion):
+    for t1 in u.terms:
+        for t2 in u.terms:
+            assert t1 == t2 or not term_subset(t1, t2), (t1, t2)
+
+
+def assert_equivalent(u1: DplUnion, u2: DplUnion):
+    assert equivalence_witness(dpl_to_dfa(u1), dpl_to_dfa(u2)) is None
+
+
+P = Progression
+
+
+@pytest.mark.parametrize(
+    "s1, s2, expected",
+    [
+        (P(3, 4), P(1, 2), True),  # period 2 | 4 and 3 lies in 1 + 2N
+        (P(3, 4), P(0, 2), False),  # offset 3 is odd
+        (P(3, 2), P(1, 4), False),  # period 4 does not divide 2
+        (P(1, 3), P(3, 1), False),  # offset 1 below 3
+        (P(2, 5), P(2, 5), True),
+        (P(2, 5), 2, False),  # a progression is never an exact count
+        (P(0, 1), 0, False),
+        (3, P(1, 2), True),
+        (4, P(1, 2), False),
+        (0, P(1, 1), False),
+        (2, 2, True),
+        (2, 3, False),
+    ],
+)
+def test_count_set_subset_on_all_kind_pairs(s1, s2, expected):
+    assert count_set_subset(s1, s2) is expected
+
+
+def test_iterated_shuffle_is_the_unpruned_fold_without_dominated_terms():
+    rng = random.Random(61)
+    for alphabet, size, top in ((AB, 3, 4), (AB, 3, 4), (ABC, 2, 3)):
+        for _ in range(12):
+            u = random_union(rng, alphabet, size, top)
+            got = dpl_iterated_shuffle(u)
+            assert_antichain(got)
+            assert_equivalent(got, reference_iterated_shuffle(u))
+
+
+def test_representation_is_the_unpruned_loop_without_dominated_terms():
+    rng = random.Random(67)
+    for alphabet, top in ((AB, 3), (AB, 3), (ABC, 2)):
+        for _ in range(15):
+            lang = random_lang(rng, alphabet, top)
+            got = build_representation(lang)
+            assert_antichain(got)
+            assert_equivalent(got, reference_representation(lang))
+
+
+def test_three_term_closure_compiles_and_minimizes_fast():
+    u = DplUnion.of(ABC, [
+        DiagonalPeriodic.make(ABC, {"a": P(3, 2), "b": P(0, 2)}),
+        DiagonalPeriodic.make(ABC, {"b": P(1, 3), "c": P(1, 2)}),
+        DiagonalPeriodic.make(ABC, {"a": P(1, 4), "b": P(2, 4), "c": P(1, 3)}),
+    ])
+    start = time.perf_counter()
+    m = minimize(dpl_to_dfa(dpl_iterated_shuffle(u)))
+    assert time.perf_counter() - start < 5
+    assert m.n_states == 473
+
+
+def test_five_word_representation_has_one_term_per_residue_class():
+    rep = build_representation(FiniteLang.of(AB, ["aaaaa", "bbbbb", "ab", "aab", "abb"]))
+    assert len(rep.terms) <= 25

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from comshuffle.errors import CriterionError
+from comshuffle import regularity
+from comshuffle.errors import CriterionError, SizeGuardError
 from comshuffle.oracle import (
     closure_under_addition,
     dpl_enumerate,
@@ -93,6 +94,16 @@ def test_representation_matches_closure_random():
 def test_build_representation_requires_unary_words():
     with pytest.raises(CriterionError):
         build_representation(FiniteLang.of(AB, ["ab"]))
+
+
+def test_build_representation_offset_guard(monkeypatch):
+    lang = FiniteLang.of(AB, ["aaaaa", "bbbbb", "ab", "aab", "abb"])
+    monkeypatch.setattr(regularity, "REPRESENTATION_OFFSET_GUARD", 5)
+    with pytest.raises(SizeGuardError) as err:
+        build_representation(lang)
+    assert err.value.guard == "representation_offsets"
+    assert err.value.limit == 5
+    assert err.value.observed > 5
 
 
 def test_shift_representation():
