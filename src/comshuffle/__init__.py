@@ -43,6 +43,7 @@ from .errors import (
     ComshuffleError,
     CriterionError,
     FragmentError,
+    NonRegularError,
     NotInPositiveClassError,
     ParseError,
     SizeGuardError,

@@ -1,19 +1,24 @@
-"""Star-free commutative languages.
+"""Star-free commutative languages, and the iterated shuffle of any union.
 
-The normal form here is a finite union of terms perm(u) ⧢ Γ*: a fixed
-multiset of letters plus arbitrarily many letters from a tail alphabet.  Such
-a term is the diagonal periodic term whose tail letters have period-one
-progressions from offset u_a and whose other letters have the exact count
-u_a, so these unions are `DplUnion`s.  Interval letter-count constraints
-expand into this form, and the iterated shuffle is handled by sufficient
-criteria: per term via the unary-or-tail condition, and for whole unions via
-a subset-expansion with absorption of the problematic pieces into
-well-behaved ones.
+The terms perm(u) ⧢ Γ* (a fixed multiset of letters plus any letters of a
+tail alphabet) are the diagonal periodic terms whose progressions all have
+period one; interval letter-count constraints expand into unions of them.
+
+The iterated shuffle of any union of terms is computed on linear sets
+b + ⟨P⟩ of Parikh vectors (Ginsburg & Spanier, Pacific J. Math. 16, 1966):
+sh*(A ∪ B) = sh*(A) ⧢ sh*(B), and a term b + ⟨V⟩ has the closure
+{0} ∪ (b + ⟨V ∪ {b}⟩).  A linear set whose non-unary periods use only
+letters with a unary period is recognizable and converts to terms exactly.
+Each other one is absorbed, exactly, by a walk on a DFA of the recognizable
+part, or a sub-alphabet certificate proves the closure not regular, or the
+computation reports it undecided.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
@@ -21,25 +26,25 @@ from typing import Iterable, Optional, Sequence
 from .dpl import (
     DiagonalPeriodic,
     DplUnion,
+    dpl_iterated_shuffle,
     dpl_project,
+    dpl_shift,
     dpl_shuffle,
-    dpl_union,
     dpl_union_from_dict,
     dpl_union_member,
     dpl_union_to_dict,
+    in_count_set,
+    maximal_terms,
 )
-from .errors import CriterionError, SizeGuardError, UndecidedError
+from .errors import NonRegularError, SizeGuardError, UndecidedError
 from .progressions import Progression
-from .regularity import FiniteLang, build_representation, decide_finite, shift_representation
+from .regularity import FiniteLang, build_representation
 from .words import Alphabet, ParikhVector, word_of
 
-UNION_CLOSURE_MAX_TERMS = 8
-UNION_VERIFY_BOUND = 12
-M_SEARCH_CAP = 40
-PERIOD_LCM_CAP = 24
-THRESHOLD_ITER_CAP = 8
-# States `union_closure_member` may visit; a non-member can reach about n²
-# of them for counts near n.
+# Linear sets one fold step may hold before pruning: n terms give up to 2^n.
+CLOSURE_LINEAR_SET_GUARD = 2048
+# Vectors one search may visit: remainders of a monoid membership test (about
+# n² for counts near n in the closure of {ab, bc}) or states of a walk.
 CLOSURE_MEMBER_STATE_GUARD = 100_000
 
 # Earlier names of the dpl membership test and parser, still imported by
@@ -72,24 +77,6 @@ def interval_intersect(c1: IntervalConstraint, c2: IntervalConstraint) -> Option
     if upper is not None and lower >= upper:
         return None
     return IntervalConstraint(c1.letter, lower, upper)
-
-
-def _base_tail(t: DiagonalPeriodic) -> tuple[tuple[int, ...], frozenset[str]]:
-    """(counts of u, Γ) of a term perm(u) ⧢ Γ*; CriterionError if a period is
-    not one."""
-    counts, tail = [], []
-    for a, s in zip(t.alphabet, t.sets):
-        if isinstance(s, Progression):
-            if s.period != 1:
-                raise CriterionError(
-                    f"letter {a!r} has period {s.period}: a perm(u) ⧢ Γ* term needs period one",
-                    letter=a,
-                )
-            counts.append(s.offset)
-            tail.append(a)
-        else:
-            counts.append(s)
-    return tuple(counts), frozenset(tail)
 
 
 def intervals_to_terms(
@@ -138,256 +125,237 @@ def aperiodic_union_to_dict(u: DplUnion) -> dict:
 
 
 def term_iterated_shuffle_regular(t: DiagonalPeriodic) -> bool:
-    """Shuffle closure of perm(u) ⧢ Γ* is regular iff u is unary or u uses
-    only tail letters."""
-    base, tail = _base_tail(t)
-    support = {a for a, n in zip(t.alphabet, base) if n}
-    return len(support) <= 1 or support <= tail
-
-
-def _piece_lang(alphabet: Alphabet, pieces) -> FiniteLang:
-    """For (u, Γ) pairs, the finite language whose iterated shuffle, shifted by
-    the sum of the u, is the part of the closure that uses every pair: the
-    letters of the tails plus the words u."""
-    tails = frozenset().union(*(tail for _, tail in pieces))
-    words = [a for a in alphabet if a in tails] + [word_of(base) for base, _ in pieces]
-    return FiniteLang.of(alphabet, [w for w in words if w])
+    """The closure {0} ∪ (b + ⟨V ∪ {b}⟩) of a term b + ⟨V⟩ is regular iff b
+    is unary or every letter of b has a period in V."""
+    base, periods = _term_linear(t)
+    return _recognizable((base, periods | {base}))
 
 
 def term_iterated_shuffle_normal_form(t: DiagonalPeriodic) -> DplUnion:
-    """Closure of one term as a union of diagonal periodic languages:
-    {ε} ∪ perm(u⁺) ⧢ (shuffle of a* over the tail)."""
-    counts, tail = _base_tail(t)
-    base = ParikhVector(t.alphabet, counts)
-    if not term_iterated_shuffle_regular(t):
-        offending = next(a for a in t.alphabet if a in base.support() and a not in tail)
-        raise CriterionError(
-            f"iterated shuffle criterion fails: base uses several letters and "
-            f"letter {offending!r} is outside the tail",
-            letter=offending,
-        )
-    rep = build_representation(_piece_lang(t.alphabet, [(base, tail)]))
-    shifted = shift_representation(rep, base)
-    return dpl_union(DplUnion.epsilon(t.alphabet), shifted)
+    """Closure of one term: the fold of `union_iterated_shuffle` on it."""
+    return union_iterated_shuffle(DplUnion.of(t.alphabet, [t]))
 
 
 # --- iterated shuffle of whole unions -------------------------------------
 
+Vector = tuple[int, ...]
+# b + ⟨P⟩: a base vector and the period vectors, whose sums it may add.
+Linear = tuple[Vector, frozenset[Vector]]
 
-def union_closure_member(v: ParikhVector, u: DplUnion) -> bool:
-    """Exact membership in the iterated shuffle of a union of perm(u) ⧢ Γ*
-    terms, by exhaustive search over (remainder, tails collected so far):
-    each step takes one term, subtracting its base and collecting its tail,
-    and the vector is a member once the remainder lies on the collected
-    tails.  SizeGuardError past `CLOSURE_MEMBER_STATE_GUARD` visited states."""
-    if v.alphabet != u.alphabet:
-        raise ValueError("alphabet mismatch")
-    pieces = [
-        (base, tuple(a in tail for a in u.alphabet))
-        for base, tail in map(_base_tail, u.terms)
-    ]
-    start = (v.counts, (False,) * len(v.counts))
-    seen = {start}
-    todo = [start]
+
+def _minus(x: Vector, y: Vector) -> Vector:
+    return tuple(map(operator.sub, x, y))
+
+
+def _is_unary(p: Vector) -> bool:
+    return sum(1 for x in p if x) == 1
+
+
+def _reach(sources: Iterable[Vector], nexts) -> set[Vector]:
+    """The vectors that `nexts` leads to from `sources`, these included."""
+    seen = set(sources)
+    todo = list(seen)
     while todo:
-        rem, free = todo.pop()
-        if all(f or not x for x, f in zip(rem, free)):
-            return True
-        for base, tail in pieces:
-            if all(x >= y for x, y in zip(rem, base)):
-                nxt = (
-                    tuple(x - y for x, y in zip(rem, base)),
-                    tuple(f or t for f, t in zip(free, tail)),
-                )
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
+        for n in nexts(todo.pop()):
+            if n not in seen:
+                seen.add(n)
+                todo.append(n)
         if len(seen) > CLOSURE_MEMBER_STATE_GUARD:
-            raise SizeGuardError(
-                f"closure membership guard exceeded: more than "
-                f"{CLOSURE_MEMBER_STATE_GUARD} visited states",
-                guard="closure_member_states",
-                limit=CLOSURE_MEMBER_STATE_GUARD,
-                observed=len(seen),
+            raise SizeGuardError.over(
+                "closure membership", "closure_member_states", CLOSURE_MEMBER_STATE_GUARD, len(seen)
             )
-    return False
+    return seen
 
 
-def _scaled_sum(alphabet: Alphabet, coeffs, gens) -> tuple[int, ...]:
-    return tuple(
-        sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(len(alphabet))
-    )
+def _in_monoid(d: Vector, gens: frozenset[Vector]) -> bool:
+    """Whether d is a sum of vectors of gens (non-zero, non-negative), by a
+    search over the remainders, of which there are at most ∏ (d_a + 1)."""
+
+    def steps(r: Vector) -> list[Vector]:
+        return [n for n in (_minus(r, g) for g in gens) if min(n) >= 0]
+
+    return not any(d) or d in gens or min(d) >= 0 and (0,) * len(d) in _reach([d], steps)
 
 
-def _class_minima(threshold: int, residues, period: int) -> tuple[int, ...]:
-    """Per coordinate: the smallest c >= max(threshold, 1) with c ≡ ρ (mod period)."""
-    out = []
-    for rho in residues:
-        lo = max(threshold, 1)
-        out.append(lo + (rho - lo) % period)
-    return tuple(out)
+def _term_linear(t: DiagonalPeriodic) -> Linear:
+    """A term as b + ⟨p_a·e_a⟩: offsets and exact counts make the base, and
+    each progression gives a unary period."""
+    base = tuple(s.offset if isinstance(s, Progression) else s for s in t.sets)
+    units = [(i, s.period) for i, s in enumerate(t.sets) if isinstance(s, Progression)]
+    return base, frozenset(tuple(p if j == i else 0 for j in range(len(base))) for i, p in units)
 
 
-def _absorb_candidates(periodic: DplUnion, gamma: frozenset[str]):
-    """The terms that can absorb families with free letters Γ (period one on
-    every letter of Γ), each as its (index, count) fixed letters and its
-    (index, progression) letters."""
-    out = []
-    for t in periodic.terms:
-        if all(
-            isinstance(s, Progression) and s.period == 1
-            for a, s in zip(periodic.alphabet, t.sets)
-            if a in gamma
-        ):
-            sets = list(enumerate(t.sets))
-            fixed = tuple((i, s) for i, s in sets if not isinstance(s, Progression))
-            progs = tuple((i, s) for i, s in sets if isinstance(s, Progression))
-            out.append((fixed, progs))
+def _contains(outer: Linear, inner: Linear) -> bool:
+    """Sufficient for inner ⊆ outer: inner's base lies in outer, and each of
+    inner's periods in outer's monoid."""
+    (b1, p1), (b2, p2) = outer, inner
+    return _in_monoid(_minus(b2, b1), p1) and all(_in_monoid(p, p1) for p in p2)
+
+
+def _fold(u: DplUnion) -> list[Linear]:
+    """sh*(u) as linear sets: the terms without an exact count through
+    `dpl_iterated_shuffle`, then each other term b + ⟨V⟩ shuffled in as
+    {0} ∪ (b + ⟨V ∪ {b}⟩).  After each step the sets that another contains
+    are dropped, as `dpl.maximal_terms` drops terms."""
+    periodic = DplUnion(u.alphabet, tuple(t for t in u.terms if not t.exact))
+    sets = [_term_linear(t) for t in dpl_iterated_shuffle(periodic).terms]
+    for b, v in (_term_linear(t) for t in u.terms if t.exact):
+        sets += [(tuple(x + y for x, y in zip(c, b)), p | v | {b}) for c, p in sets]
+        if len(sets) > CLOSURE_LINEAR_SET_GUARD:
+            raise SizeGuardError.over(
+                "closure linear set", "closure_linear_sets", CLOSURE_LINEAR_SET_GUARD, len(sets)
+            )
+        kept: list[Linear] = []
+        for s in sets:
+            if not any(_contains(k, s) for k in kept):
+                kept = [k for k in kept if not _contains(s, k)] + [s]
+        sets = kept
+    return sets
+
+
+def _recognizable(s: Linear) -> bool:
+    """Every letter of a non-unary period also has a unary period."""
+    unary = {i for p in s[1] if _is_unary(p) for i, x in enumerate(p) if x}
+    return all(i in unary for p in s[1] for i, x in enumerate(p) if x)
+
+
+def _words(alphabet: Alphabet, vectors: Iterable[Vector]) -> list[str]:
+    return sorted(word_of(ParikhVector(alphabet, v)) for v in vectors)
+
+
+def _terms_of(alphabet: Alphabet, s: Linear) -> tuple[DiagonalPeriodic, ...]:
+    """A recognizable linear set as terms: the shuffle closure of the words
+    of its periods, shifted by its base."""
+    rep = build_representation(FiniteLang.of(alphabet, _words(alphabet, s[1])))
+    return dpl_shift(rep, ParikhVector(alphabet, s[0])).terms
+
+
+def _certify_non_regular(u: DplUnion) -> None:
+    """NonRegularError for the first sub-alphabet Γ, smallest first, with a
+    letter x that occurs in u ∩ Γ* while no term of u ∩ Γ* gives it a unary
+    period (a progression on x, or a base that only uses x).
+
+    It proves sh*(u) not regular.  sh*(u) ∩ Γ* = sh*(u ∩ Γ*), whose fold has
+    no period unary in x.  A recognizable monoid holding m with m_x > 0 holds
+    n·m + j·P·e_x for some n, P and all j ≥ 0; infinitely many of these lie
+    in one linear set of any finite union, which then has a unary x period.
+    """
+    letters = u.alphabet.letters
+    for r in range(2, len(letters) + 1):
+        for gamma in combinations(range(len(letters)), r):
+            occurs, unary = set(), set()
+            for t in u.terms:
+                # in u ∩ Γ* the letters outside Γ must allow the count zero
+                if all(in_count_set(0, s) for i, s in enumerate(t.sets) if i not in gamma):
+                    base, periods = _term_linear(t)
+                    for support in ({i for i, x in enumerate(p) if x} for p in periods | {base}):
+                        if support <= set(gamma):
+                            occurs |= support
+                            unary |= support if len(support) == 1 else set()
+            for i in sorted(occurs - unary):
+                raise NonRegularError(
+                    f"the iterated shuffle is not regular: letter {letters[i]!r} occurs in "
+                    f"it over {{{','.join(letters[j] for j in gamma)}}} without a unary period",
+                    letter=letters[i],
+                    subalphabet=tuple(letters[j] for j in gamma),
+                )
+
+
+def _escapes(r: DplUnion, s: Linear) -> Optional[list[Vector]]:
+    """The bases b + λ·W of the slices b + λ·W + ⟨U⟩ of s that r misses (W
+    the non-unary periods of s, U the unary ones); None if infinitely many.
+
+    The DFA of r walked here has as states the count vectors collapsed per
+    letter: counts from T_a on (past every offset and exact count of a) that
+    agree modulo P_a (the lcm of its periods) lie in the same terms.  A
+    slice lies in r when its base leads to a good state, one from which unary
+    steps reach only accepting states.  A bad state that a cycle of W-steps
+    reaches is reached by infinitely many λ; with none, the λ that reach bad
+    states pass no cycle, and the walk that stops at the cycles finds them.
+    """
+    limits = []
+    for sets in zip(*(t.sets for t in r.terms)):
+        top = max(c.offset if isinstance(c, Progression) else c + 1 for c in sets)
+        limits.append((top, math.lcm(*(c.period for c in sets if isinstance(c, Progression)))))
+    base, periods = s
+    # a step the other periods generate only repeats slices, and would make
+    # the walk see infinitely many of them
+    steps = [p for p in periods if not _is_unary(p) and not _in_monoid(p, periods - {p})]
+    units = [p for p in periods if _is_unary(p)]
+
+    def read(q: Vector, v: Vector) -> Vector:
+        counts = (x + y for x, y in zip(q, v))
+        return tuple(n if n < t else t + (n - t) % p for n, (t, p) in zip(counts, limits))
+
+    start = read((0,) * len(base), base)
+    edges: dict[Vector, list[Vector]] = {}
+    _reach([start], lambda q: edges.setdefault(q, [read(q, w) for w in steps]))
+    around = _reach(edges, lambda q: [read(q, g) for g in units])
+    good = {q for q in around if any(all(map(in_count_set, q, t.sets)) for t in r.terms)}
+    while shrink := {q for q in good if any(read(q, g) not in good for g in units)}:
+        good -= shrink
+    # peel off the states no edge enters, as in a topological sort: what
+    # stays is what a cycle reaches
+    indegree = Counter(n for ns in edges.values() for n in ns)
+    acyclic, free = set(), [q for q in edges if not indegree[q]]
+    while free:
+        acyclic.add(q := free.pop())
+        for n in edges[q]:
+            indegree[n] -= 1
+            if not indegree[n]:
+                free.append(n)
+    if not good >= edges.keys() - acyclic:
+        return None
+    out, seen, todo = [], {base}, [(base, start)]
+    for v, q in todo:
+        if q not in good:
+            out.append(v)
+        for w in steps:
+            n, m = read(q, w), tuple(x + y for x, y in zip(v, w))
+            if n in acyclic and m not in seen:
+                seen.add(m)
+                todo.append((m, n))
     return out
 
 
-def _absorb_threshold(
-    alphabet: Alphabet,
-    candidates,
-    w_low: tuple[int, ...],
-    gens,
-    residues,
-    period: int,
-) -> Optional[int]:
-    """Smallest threshold M so that the residue-class family
-    { w_low + Σ c_j g_j + Γ-tails : c_j >= M, c_j ≡ ρ_j (mod period) }
-    sits inside one diagonal periodic term among `_absorb_candidates`.
+def union_iterated_shuffle(u: DplUnion) -> DplUnion:
+    """Iterated shuffle of a union of terms, with any periods and exact
+    counts, exactly or with a proof that it is not regular.
 
-    Once the family's least element lies in a term, every other element is
-    reached from it by period-multiple generator steps and tail letters, both
-    of which preserve term membership, so the single check certifies the
-    whole family.
+    A union without nonzero exact counts goes to `dpl_iterated_shuffle`.
+    Otherwise `_fold` gives the closure as linear sets, and the recognizable
+    ones convert to terms.  If some are not, `_certify_non_regular` raises
+    `NonRegularError` when it applies; otherwise each of them is walked on a
+    DFA of the converted part (`_escapes`), and its finitely many escaping
+    slices join the result, or `UndecidedError` names it.  No term of the
+    result lies in another.
     """
-    for fixed, progs in candidates:
-        # a letter with an exact count must sit at that count and stay there
-        if any(w_low[i] != c or any(g[i] for g in gens) for i, c in fixed):
-            continue
-        for m in range(1, M_SEARCH_CAP + 1):
-            minima = _class_minima(m, residues, period)
-            base = tuple(
-                x + y for x, y in zip(w_low, _scaled_sum(alphabet, minima, gens))
-            )
-            if all(base[i] in p for i, p in progs):
-                return m
-    return None
-
-
-def union_iterated_shuffle(
-    u: DplUnion, verify_bound: int = UNION_VERIFY_BOUND
-) -> DplUnion:
-    """Iterated shuffle of a union of perm(u) ⧢ Γ* terms.
-
-    The closure expands into one piece per non-empty subset of terms.  Pieces
-    whose letters all have unary words convert exactly to dpl form.  A failing
-    piece is split at a threshold M: coefficient vectors below M become
-    explicit exceptional terms, and each high-coefficient residue class is
-    either absorbed into a periodic term of the passing part or kept as a
-    merged perm(u) ⧢ Γ* term covering it.  The result is the union of the
-    periodic and exceptional terms.  It is verified against exhaustive
-    closure membership up to `verify_bound`; any disagreement means the
-    sufficient criteria did not apply and the computation reports undecided.
-    """
-    if len(u.terms) > UNION_CLOSURE_MAX_TERMS:
-        raise SizeGuardError(
-            f"union closure limited to {UNION_CLOSURE_MAX_TERMS} terms, got {len(u.terms)}"
-        )
+    if not any(t.exact for t in u.terms):
+        return dpl_iterated_shuffle(u)
     alphabet = u.alphabet
-    pieces = [(ParikhVector(alphabet, base), tail) for base, tail in map(_base_tail, u.terms)]
-    idx = range(len(pieces))
-    subsets = [s for r in idx for s in combinations(idx, r + 1)]
-
-    periodic = DplUnion.epsilon(alphabet)
-    failing: list[tuple[frozenset[str], tuple[int, ...]]] = []
-    for subset in subsets:
-        chosen = [pieces[j] for j in subset]
-        lang = _piece_lang(alphabet, chosen)
-        gamma = frozenset().union(*(tail for _, tail in chosen))
-        if decide_finite(lang).regular:
-            base = sum((b for b, _ in chosen), ParikhVector.zero(alphabet))
-            piece = shift_representation(build_representation(lang), base)
-            periodic = dpl_union(periodic, piece)
-        else:
-            failing.append((gamma, subset))
-
-    period = 1
-    for t in periodic.terms:
-        for s in t.sets:
-            if isinstance(s, Progression):
-                period = math.lcm(period, s.period)
-    if period > PERIOD_LCM_CAP:
-        raise UndecidedError(
-            f"combined period {period} exceeds the absorption cap {PERIOD_LCM_CAP}"
-        )
-
-    exceptional: list[DiagonalPeriodic] = []
-    for gamma_a, subset in failing:
-        active = [j for j in subset if pieces[j][0].total() > 0]
-        gens_all = [pieces[j][0].counts for j in active]
-        supports = [pieces[j][0].support() for j in active]
-        candidates = _absorb_candidates(periodic, gamma_a)
-
-        def sweep(threshold: int, collect: Optional[list[DiagonalPeriodic]]) -> int:
-            needed = 1
-            for r in range(1, len(active) + 1):
-                for high in combinations(range(len(active)), r):
-                    low = [i for i in range(len(active)) if i not in high]
-                    gens = [gens_all[i] for i in high]
-                    for low_c in product(range(1, threshold), repeat=len(low)):
-                        w_low = _scaled_sum(
-                            alphabet, low_c, [gens_all[i] for i in low]
-                        )
-                        for residues in product(range(period), repeat=r):
-                            m = _absorb_threshold(
-                                alphabet, candidates, w_low, gens, residues, period
-                            )
-                            if m is not None:
-                                needed = max(needed, m)
-                            elif collect is not None:
-                                tail = frozenset(gamma_a).union(
-                                    *(supports[i] for i in high)
-                                )
-                                minima = _class_minima(1, residues, period)
-                                base = tuple(
-                                    x + y
-                                    for x, y in zip(
-                                        w_low, _scaled_sum(alphabet, minima, gens)
-                                    )
-                                )
-                                collect.append(
-                                    DiagonalPeriodic.perm_shuffle(
-                                        ParikhVector(alphabet, base), tail
-                                    )
-                                )
-            return needed
-
-        threshold = 1
-        for _ in range(THRESHOLD_ITER_CAP):
-            needed = sweep(threshold, None)
-            if needed <= threshold:
-                break
-            threshold = needed
-        else:
-            raise UndecidedError("absorption threshold failed to stabilize")
-        sweep(threshold, exceptional)
-        for coeffs in product(range(1, threshold), repeat=len(active)):
-            counts = _scaled_sum(alphabet, coeffs, gens_all)
-            exceptional.append(
-                DiagonalPeriodic.perm_shuffle(ParikhVector(alphabet, counts), gamma_a)
-            )
-
-    closure = DplUnion.of(alphabet, periodic.terms + tuple(exceptional))
-    for counts in product(range(verify_bound + 1), repeat=len(alphabet)):
-        if sum(counts) > verify_bound:
-            continue
-        v = ParikhVector(alphabet, counts)
-        if dpl_union_member(v, closure) != union_closure_member(v, u):
+    sets = _fold(u)
+    rest = [s for s in sets if not _recognizable(s)]
+    if rest:
+        _certify_non_regular(u)
+    regular = maximal_terms(
+        DplUnion.of(alphabet, [t for s in sets if _recognizable(s) for t in _terms_of(alphabet, s)])
+    )
+    terms = list(regular.terms)
+    for s in rest:
+        escapes = _escapes(regular, s)
+        if escapes is None:
             raise UndecidedError(
-                "iterated shuffle of this union is undecided by implemented criteria: "
-                f"assembled normal form disagrees with exhaustive membership at {v.as_dict()}"
+                f"iterated shuffle undecided: the linear set {_words(alphabet, [s[0]])[0] or 'ε'}"
+                f" + ⟨{', '.join(_words(alphabet, s[1]))}⟩ is not absorbed by the regular part"
             )
-    return closure
+        units = frozenset(p for p in s[1] if _is_unary(p))
+        terms += [t for v in escapes for t in _terms_of(alphabet, (v, units))]
+    return maximal_terms(DplUnion.of(alphabet, terms)) if rest else regular
+
+
+def union_closure_member(v: ParikhVector, u: DplUnion) -> bool:
+    """Exact membership in the iterated shuffle of any union: v lies in a
+    linear set b + ⟨P⟩ of the fold when v - b is a sum of periods."""
+    if v.alphabet != u.alphabet:
+        raise ValueError("alphabet mismatch")
+    return any(_in_monoid(_minus(v.counts, b), p) for b, p in _fold(u))

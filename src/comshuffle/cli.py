@@ -1,15 +1,14 @@
 """Command line front end.
 
 Commands: normalize, member, regular (alias regular?), dfa, check, report.
-Exit codes: 0 success, 2 syntax error, 3 outside the implemented fragment or
-undecided, 4 resource guard exceeded, 5 oracle mismatch.
+Exit codes: 0 success, 2 syntax error, 3 outside the implemented fragment,
+undecided or not regular, 4 resource guard exceeded, 5 oracle mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -36,7 +35,6 @@ from .dpl import (
     GammaStar,
     dpl_intersect,
     dpl_inverse_project,
-    dpl_iterated_shuffle,
     dpl_project,
     dpl_shuffle,
     dpl_union,
@@ -47,6 +45,7 @@ from .dpl import (
 from .errors import (
     ComshuffleError,
     FragmentError,
+    NonRegularError,
     ParseError,
     SizeGuardError,
     UndecidedError,
@@ -74,7 +73,9 @@ from .oracle import (
     vector_sums,
 )
 from .regularity import FiniteLang, decide_finite
-from .words import Alphabet, ParikhVector, parikh, perm_set, project_word, word_order_key
+from .words import (
+    Alphabet, ParikhVector, arrangements, parikh, perm_set, project_word, word_order_key
+)
 
 DEFAULT_CHECK_BOUND = 8
 WORD_SHUFFLE_MAX_LEN = 12
@@ -105,10 +106,8 @@ class Value:
 
 
 def _shuffle_pair_words(w1: str, w2: str) -> set[str]:
-    if len(w1) + len(w2) > WORD_SHUFFLE_MAX_LEN:
-        raise SizeGuardError(
-            f"word shuffle limited to combined length {WORD_SHUFFLE_MAX_LEN}"
-        )
+    if (n := len(w1) + len(w2)) > WORD_SHUFFLE_MAX_LEN:
+        raise SizeGuardError.over("word shuffle", "word_shuffle_length", WORD_SHUFFLE_MAX_LEN, n)
     if not w1:
         return {w2}
     if not w2:
@@ -144,16 +143,9 @@ def _as_union(v: Value) -> Optional[DplUnion]:
         return v.payload
     if v.kind == "finite":
         groups = Counter("".join(sorted(w)) for w in v.payload.words)
-        if all(n == _arrangements(letters) for letters, n in groups.items()):
+        if all(n == arrangements(letters) for letters, n in groups.items()):
             return v.points
     return None
-
-
-def _arrangements(w: str) -> int:
-    """The number of distinct words with the letters of w."""
-    return math.factorial(len(w)) // math.prod(
-        math.factorial(n) for n in Counter(w).values()
-    )
 
 
 def _fragment(op: str, kinds) -> FragmentError:
@@ -207,6 +199,26 @@ def _shuffle_values(v1: Value, v2: Value) -> Value:
     return Value("dpl", dpl_shuffle(*_both_unions("shuffle", v1, v2)))
 
 
+_BINARY = {
+    UnionE: ("|", _union_values),
+    IntersectE: ("&", _intersect_values),
+    ShuffleE: ("<>", _shuffle_values),
+}
+
+
+def _iterated_shuffle(child: Value) -> Value:
+    """A word set goes to the finite-language criterion, a union to the
+    exact fold of `union_iterated_shuffle`."""
+    if child.kind == "finite":
+        verdict = decide_finite(child.payload)
+        if verdict.regular:
+            return Value("dpl", verdict.representation)
+        return Value("shuffle_finite", child.payload)
+    if child.kind != "dpl":
+        raise _fragment("iterated shuffle", (child.kind,))
+    return Value("dpl", union_iterated_shuffle(child.payload))
+
+
 def eval_expr(e: Expr, alphabet: Alphabet, clause_guard: int = DEFAULT_CLAUSE_GUARD) -> Value:
     if isinstance(e, WordLit):
         return Value("finite", FiniteLang.of(alphabet, [e.word]))
@@ -220,28 +232,15 @@ def eval_expr(e: Expr, alphabet: Alphabet, clause_guard: int = DEFAULT_CLAUSE_GU
         return Value("dpl", from_generators(GammaStar(e.letters), alphabet, clause_guard))
     if isinstance(e, Plus):
         return Value("dpl", from_generators(GammaPlus(e.letters), alphabet, clause_guard))
-    if isinstance(e, UnionE):
+    if type(e) in _BINARY:
+        op, combine = _BINARY[type(e)]
         vals = [eval_expr(p, alphabet, clause_guard) for p in e.parts]
-        return reduce(_union_values, vals)
-    if isinstance(e, IntersectE):
-        vals = [eval_expr(p, alphabet, clause_guard) for p in e.parts]
-        return reduce(_intersect_values, vals)
-    if isinstance(e, ShuffleE):
-        vals = [eval_expr(p, alphabet, clause_guard) for p in e.parts]
-        return reduce(_shuffle_values, vals)
+        if len({v.alphabet for v in vals}) > 1:
+            shown = " and ".join(dict.fromkeys("{" + ",".join(v.alphabet) + "}" for v in vals))
+            raise ComshuffleError(f"the operands of {op} have different alphabets: {shown}")
+        return reduce(combine, vals)
     if isinstance(e, IterShuffle):
-        child = eval_expr(e.child, alphabet, clause_guard)
-        if child.kind == "finite":
-            verdict = decide_finite(child.payload)
-            if verdict.regular:
-                return Value("dpl", verdict.representation)
-            return Value("shuffle_finite", child.payload)
-        if child.kind != "dpl":
-            raise _fragment("iterated shuffle", (child.kind,))
-        if any(t.exact for t in child.payload.terms):
-            # exact counts are handled for perm(u) ⧢ Γ* terms, i.e. period one
-            return Value("dpl", union_iterated_shuffle(child.payload))
-        return Value("dpl", dpl_iterated_shuffle(child.payload))
+        return _iterated_shuffle(eval_expr(e.child, alphabet, clause_guard))
     if isinstance(e, Project):
         child = eval_expr(e.child, alphabet, clause_guard)
         if child.kind == "dpl":
@@ -364,7 +363,13 @@ def _verdict_dict(e: Expr, alphabet: Alphabet, clause_guard: int) -> dict:
         child = eval_expr(e.child, alphabet, clause_guard)
         if child.kind == "finite":
             return decide_finite(child.payload).to_dict()
-    value = eval_expr(e, alphabet, clause_guard)
+        try:
+            value = _iterated_shuffle(child)
+        except NonRegularError as err:
+            witness = {"witness": err.letter, "subalphabet": list(err.subalphabet)}
+            return {"regular": False, **witness, "representation": None}
+    else:
+        value = eval_expr(e, alphabet, clause_guard)
     if value.kind == "shuffle_finite":
         # only reachable when IterShuffle sits deeper in the expression
         raise FragmentError("non-regular subexpression inside a larger expression")

@@ -282,7 +282,7 @@ def dpl_iterated_shuffle(u: DplUnion) -> DplUnion:
 
     An exact count ties letters together (the closure of perm(ab) is not
     regular), so such terms are refused; `aperiodic.union_iterated_shuffle`
-    handles unions of perm(u) ⧢ Γ* terms.  After each fold step the terms
+    takes any union, folding such terms in as linear sets.  After each fold step the terms
     that another term contains are dropped (`maximal_terms`), so the result
     holds no term contained in another.
     """
@@ -418,9 +418,7 @@ def from_generators(
 
     def check(u: DplUnion) -> DplUnion:
         if len(u.terms) > clause_guard:
-            raise SizeGuardError(
-                f"clause guard exceeded: {len(u.terms)} > {clause_guard} terms"
-            )
+            raise SizeGuardError.over("clause", "clauses", clause_guard, len(u.terms))
         return u
 
     def go(e) -> DplUnion:

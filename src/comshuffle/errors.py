@@ -8,8 +8,8 @@ class ComshuffleError(Exception):
 class SizeGuardError(ComshuffleError):
     """A resource guard (word length, clause count, state count, bound) was exceeded.
 
-    Raise sites that know their numbers name the `guard`, its `limit` and
-    the `observed` size that crossed it; the others leave them None.
+    Each raise site names the `guard`, its `limit` and the `observed` size
+    that crossed it.
     """
 
     def __init__(self, message, guard=None, limit=None, observed=None):
@@ -18,6 +18,11 @@ class SizeGuardError(ComshuffleError):
         self.limit = limit
         self.observed = observed
 
+    @classmethod
+    def over(cls, label: str, guard: str, limit: int, observed: int) -> "SizeGuardError":
+        """The error for `observed` past `limit`; `label` names the guard in words."""
+        return cls(f"{label} guard exceeded: {observed} > {limit}", guard, limit, observed)
+
 
 class CriterionError(ComshuffleError):
     """A decision-procedure precondition does not hold for the given input."""
@@ -25,6 +30,15 @@ class CriterionError(ComshuffleError):
     def __init__(self, message, letter=None):
         super().__init__(message)
         self.letter = letter
+
+
+class NonRegularError(CriterionError):
+    """The iterated shuffle is proven not regular: `letter` occurs in its
+    restriction to the letters `subalphabet` without a unary period."""
+
+    def __init__(self, message, letter, subalphabet):
+        super().__init__(message, letter)
+        self.subalphabet = subalphabet
 
 
 class NotInPositiveClassError(ComshuffleError):

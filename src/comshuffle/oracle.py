@@ -50,7 +50,7 @@ def closure_under_addition(base: VectorSet, bound: int) -> VectorSet:
     commutative language.
     """
     if bound > CLOSURE_MAX_BOUND:
-        raise SizeGuardError(f"closure bound limited to {CLOSURE_MAX_BOUND}, got {bound}")
+        raise SizeGuardError.over("closure bound", "closure_bound", CLOSURE_MAX_BOUND, bound)
     zero = ParikhVector.zero(base.alphabet)
     gens = [v for v in base.vectors if v.total() <= bound and v != zero]
     reached = {zero}
@@ -74,17 +74,14 @@ def vector_sums(x: VectorSet, y: VectorSet, bound: int) -> VectorSet:
 
 
 def dpl_enumerate(u: DplUnion, bound: int) -> VectorSet:
-    if bound > CLOSURE_MAX_BOUND:
-        raise SizeGuardError(f"enumeration bound limited to {CLOSURE_MAX_BOUND}, got {bound}")
-    vs = frozenset(v for v in all_vectors(u.alphabet, bound) if dpl_union_member(v, u))
-    return VectorSet(u.alphabet, vs, bound)
+    return predicate_enumerate(lambda v: dpl_union_member(v, u), u.alphabet, bound)
 
 
 def predicate_enumerate(
     member: Callable[[ParikhVector], bool], alphabet: Alphabet, bound: int
 ) -> VectorSet:
     if bound > CLOSURE_MAX_BOUND:
-        raise SizeGuardError(f"enumeration bound limited to {CLOSURE_MAX_BOUND}, got {bound}")
+        raise SizeGuardError.over("enumeration", "enumeration_bound", CLOSURE_MAX_BOUND, bound)
     vs = frozenset(v for v in all_vectors(alphabet, bound) if member(v))
     return VectorSet(alphabet, vs, bound)
 
@@ -107,7 +104,7 @@ def word_language(
     Commutative semantics: membership depends only on the count vector.
     """
     if bound > WORD_MAX_BOUND:
-        raise SizeGuardError(f"word bound limited to {WORD_MAX_BOUND}, got {bound}")
+        raise SizeGuardError.over("word bound", "word_bound", WORD_MAX_BOUND, bound)
     out = []
     for n in range(bound + 1):
         for tup in product(alphabet.letters, repeat=n):

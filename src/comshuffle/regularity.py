@@ -194,7 +194,7 @@ def nerode_evidence(
     Nerode classes.
     """
     if bound > NERODE_MAX_BOUND:
-        raise SizeGuardError(f"nerode bound limited to {NERODE_MAX_BOUND}, got {bound}")
+        raise SizeGuardError.over("nerode bound", "nerode_bound", NERODE_MAX_BOUND, bound)
 
     def words_upto(n: int) -> list[str]:
         out = []

@@ -6,13 +6,16 @@ this module is the single place where actual words are handled.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable
 
 from .errors import SizeGuardError
 
 PERM_SET_MAX_LEN = 12
+# Distinct rearrangements `perm_set` may list; abcabcabcabc has 34650.
+PERM_SET_MAX_WORDS = 50_000
 
 
 @dataclass(frozen=True)
@@ -114,14 +117,26 @@ def word_of(v: ParikhVector) -> str:
     return "".join(a * v[a] for a in v.alphabet)
 
 
-def perm_set(w: str) -> tuple[str, ...]:
-    """All distinct rearrangements of `w`, in length-then-lexicographic order.
+def arrangements(w: str) -> int:
+    """The number of distinct words with the letters of w."""
+    return math.factorial(len(w)) // math.prod(math.factorial(n) for n in Counter(w).values())
 
-    Guarded: factorial blowup above 12 symbols.
+
+def perm_set(w: str) -> tuple[str, ...]:
+    """All distinct rearrangements of `w`, in lexicographic order: each
+    prefix grows by each letter it has not used up, so no word repeats.
+
+    Guarded on the length of `w` and on the number of rearrangements.
     """
     if len(w) > PERM_SET_MAX_LEN:
-        raise SizeGuardError(f"perm_set limited to words of length {PERM_SET_MAX_LEN}, got {len(w)}")
-    return tuple(sorted({"".join(p) for p in permutations(w)}))
+        raise SizeGuardError.over("perm_set length", "perm_length", PERM_SET_MAX_LEN, len(w))
+    if (n := arrangements(w)) > PERM_SET_MAX_WORDS:
+        raise SizeGuardError.over("perm_set words", "perm_words", PERM_SET_MAX_WORDS, n)
+    letters = sorted(set(w))
+    words = [""]
+    for _ in w:
+        words = [p + a for p in words for a in letters if p.count(a) < w.count(a)]
+    return tuple(words)
 
 
 def project_word(w: str, keep: Iterable[str]) -> str:

@@ -41,7 +41,7 @@ from comshuffle.dpl import (
     from_generators,
     lemma_closed_form,
 )
-from comshuffle.errors import UndecidedError
+from comshuffle.errors import NonRegularError
 from comshuffle.exprlang import parse
 from comshuffle.oracle import (
     VectorSet,
@@ -329,8 +329,10 @@ def test_criterion_10_aperiodic_worked_examples():
     item1, item2, item3, item4 = _example_terms()
 
     for item in (item1, item2):
-        with pytest.raises(UndecidedError):
+        # proven: {a,b}* ∩ item is perm(ab) and a has no unary period there
+        with pytest.raises(NonRegularError) as err:
             union_iterated_shuffle(item)
+        assert (err.value.letter, err.value.subalphabet) == ("a", ("a", "b"))
         cache = {}
 
         def member(w, item=item, cache=cache):
@@ -354,4 +356,4 @@ def test_criterion_10_aperiodic_worked_examples():
         )
         ok, cex = sets_equal(got, expected)
         assert ok, f"normal form off at {cex.as_dict() if cex else None}"
-    passline(10, "worked examples: two undecided with evidence, two exact normal forms")
+    passline(10, "worked examples: two proven non-regular, two exact normal forms")

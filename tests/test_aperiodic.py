@@ -22,7 +22,7 @@ from comshuffle.dpl import (
     dpl_union_member,
     dpl_union_to_json,
 )
-from comshuffle.errors import CriterionError, SizeGuardError, UndecidedError
+from comshuffle.errors import CriterionError, NonRegularError, SizeGuardError
 from comshuffle.oracle import (
     VectorSet,
     all_vectors,
@@ -178,14 +178,20 @@ def test_union_iterated_shuffle_simple_union():
 
 def test_union_iterated_shuffle_undecided_for_equal_counts():
     u = DplUnion.of(AB, [term(AB, "ab")])
-    with pytest.raises(UndecidedError):
+    with pytest.raises(NonRegularError) as err:
         union_iterated_shuffle(u)
+    assert (err.value.letter, err.value.subalphabet) == ("a", ("a", "b"))
 
 
-def test_union_iterated_shuffle_term_guard():
+def test_union_iterated_shuffle_term_guard(monkeypatch):
+    # two unary terms already give four linear sets before pruning
+    monkeypatch.setattr(aperiodic, "CLOSURE_LINEAR_SET_GUARD", 3)
     terms = [term(AB, "a" * (i + 1)) for i in range(9)]
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError) as err:
         union_iterated_shuffle(DplUnion.of(AB, terms))
+    assert err.value.guard == "closure_linear_sets"
+    assert err.value.limit == 3
+    assert err.value.observed == 4
 
 
 def test_serialization_round_trip():

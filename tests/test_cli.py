@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import product
 from pathlib import Path
 
@@ -254,3 +255,31 @@ def test_closed_pipe_exits_without_traceback():
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
     assert "BrokenPipeError" not in err
+
+
+@pytest.mark.parametrize(
+    "expr, shown",
+    [
+        ("project(F(a,1), {b}) | F(a,1)", "of | have different alphabets: {b} and {a,b}"),
+        ("project(F(a,1), {b}) & F(a,1)", "of & have different alphabets: {b} and {a,b}"),
+        ("F(a,1) <> project(F(a,1), {b})", "of <> have different alphabets: {a,b} and {b}"),
+    ],
+)
+def test_operand_alphabet_mismatch_exit_code(capsys, expr, shown):
+    code, out, err = run(capsys, "normalize", "--alphabet", "ab", expr)
+    assert code == 3
+    assert out == ""
+    assert "the operands " + shown in err
+
+
+@pytest.mark.parametrize(
+    "alphabet, word, expected",
+    [("abc", "abcabcabcabc", (0, "true\n")), ("abcdef", "aabbccddeeff", (4, ""))],
+)
+def test_perm_of_a_long_word_answers_quickly(capsys, alphabet, word, expected):
+    # 34650 distinct rearrangements are listed without the 12! orderings;
+    # 7484400 are more than the perm_set guard allows
+    start = time.monotonic()
+    code, out, _ = run(capsys, "member", "--alphabet", alphabet, word, f"sh*(perm({word}))")
+    assert time.monotonic() - start < 5
+    assert (code, out) == expected

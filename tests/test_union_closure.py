@@ -1,0 +1,226 @@
+"""The iterated shuffle of a union as an exact fold of linear sets: regular
+results equal the bounded closure, non-regular verdicts come with a
+certificate, and the unions the earlier absorption search decided keep
+equivalent results."""
+
+import json
+import random
+
+import pytest
+
+from comshuffle import aperiodic
+from comshuffle.aperiodic import union_iterated_shuffle
+from comshuffle.automata import dpl_to_dfa, equivalence_witness, minimize
+from comshuffle.cli import main
+from comshuffle.dpl import (
+    DiagonalPeriodic,
+    DplUnion,
+    dpl_union_from_dict,
+    dpl_union_member,
+    term_subset,
+)
+from comshuffle.errors import NonRegularError, SizeGuardError, UndecidedError
+from comshuffle.oracle import closure_under_addition, predicate_enumerate, sets_equal
+from comshuffle.progressions import Progression
+from comshuffle.words import Alphabet, ParikhVector
+
+AB = Alphabet.of("ab")
+ABC = Alphabet.of("abc")
+BOUND = {2: 12, 3: 8}  # coordinate-sum bound of the oracle closure, by alphabet size
+
+
+def random_union(rng: random.Random, alphabet: Alphabet, max_period: int) -> DplUnion:
+    """1–4 terms; each letter gets a progression k + pN (k <= 2, p <= max_period)
+    with probability 0.4 and otherwise an exact count <= 2."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        sets = tuple(
+            Progression(rng.randint(0, 2), rng.randint(1, max_period))
+            if rng.random() < 0.4
+            else rng.randint(0, 2)
+            for _ in alphabet
+        )
+        terms.append(DiagonalPeriodic(alphabet, sets))
+    return DplUnion.of(alphabet, terms)
+
+
+def closure_window(u: DplUnion):
+    bound = BOUND[len(u.alphabet)]
+    base = predicate_enumerate(lambda v: dpl_union_member(v, u), u.alphabet, bound)
+    return closure_under_addition(base, bound)
+
+
+def assert_exact(u: DplUnion, closure: DplUnion) -> None:
+    expected = closure_window(u)
+    got = predicate_enumerate(lambda v: dpl_union_member(v, closure), u.alphabet, expected.bound)
+    ok, cex = sets_equal(got, expected)
+    assert ok, f"{u} disagrees at {cex.as_dict() if cex else None}"
+
+
+def assert_antichain(u: DplUnion) -> None:
+    for t in u.terms:
+        assert not any(s != t and term_subset(t, s) for s in u.terms), t
+
+
+def test_regular_results_equal_the_bounded_closure():
+    rng = random.Random(1105)
+    verdicts = {"regular": 0, "non-regular": 0}
+    for i in range(60):
+        alphabet = AB if i % 2 else ABC
+        u = random_union(rng, alphabet, 4)
+        try:
+            closure = union_iterated_shuffle(u)
+        except NonRegularError as err:
+            verdicts["non-regular"] += 1
+            # the certificate's letter occurs in the closure over its sub-alphabet
+            window = closure_window(u).vectors
+            assert any(
+                v[err.letter] and v.support() <= set(err.subalphabet) for v in window
+            ), u
+            continue
+        verdicts["regular"] += 1
+        assert_exact(u, closure)
+        assert_antichain(closure)
+    assert min(verdicts.values()) >= 15, verdicts
+
+
+def test_no_non_regular_verdict_when_every_letter_has_a_unary_word():
+    # with a word a^n for every letter a the closure is regular, so the fold
+    # must return a union and never a non-regular or undecided verdict
+    rng = random.Random(1106)
+    for i in range(30):
+        alphabet = AB if i % 2 else ABC
+        u = random_union(rng, alphabet, 4)
+        unary = [
+            DiagonalPeriodic.perm_shuffle(
+                ParikhVector(alphabet, tuple(rng.randint(1, 3) if b == a else 0 for b in alphabet))
+            )
+            for a in alphabet
+        ]
+        u = DplUnion.of(alphabet, u.terms + tuple(unary))
+        closure = union_iterated_shuffle(u)
+        assert_exact(u, closure)
+        assert_antichain(closure)
+
+
+def _parse_term(alphabet: Alphabet, text: str) -> DiagonalPeriodic:
+    """A term written one count set per letter: "2" or "k+pN" ("k+N" for p = 1)."""
+    sets = []
+    for item in text.split():
+        if "+" in item:
+            k, p = item[:-1].split("+")
+            sets.append(Progression(int(k), int(p or 1)))
+        else:
+            sets.append(int(item))
+    return DiagonalPeriodic(alphabet, tuple(sets))
+
+
+# union_iterated_shuffle before the fold (absorption search plus a bounded
+# check) on the period-one unions of random_union(random.Random(2026), ., 1),
+# case i over abc for odd i and ab for even i; only the cases it decided.
+PARENT_CLOSURES = {
+    2: ['0 0', '0+N 2+N', '1+N 2+N', '1+N 4+N', '2+N 4+N', '2+N 6+N'],
+    6: ['0 0', '0 1+N', '0 2+2N', '0 3+N', '1 2', '1 3', '1 3+N', '1 4', '1 4+N', '1 5', '1 5+N',
+        '1 6+N', '1 7+N', '1 8+N', '2+2N 0+N', '2+2N 1+N', '2+2N 2+N', '2+2N 3+N', '3+2N 2+N',
+        '3+2N 3+N', '3+2N 4+N', '3+2N 5+N', '4+2N 4+N', '4+2N 5+N', '4+2N 6+N', '4+2N 7+N'],
+    10: ['0 0', '0 1+N', '1+N 0+N', '1+N 1+N', '2+2N 0', '2+2N 1+N', '3+N 0+N', '3+N 1+N'],
+    11: ['0 0 0', '0 0 0+N', '0 1+N 0', '0 1+N 0+N'],
+    14: ['0 0', '0+N 1+N', '2+N 0', '2+N 1+N'],
+    16: ['0 0', '2 1+N', '2+N 2', '4 2+N', '4+N 3+N'],
+    17: ['0 0 0', '0 0 0+N'],
+    18: ['0 0', '0 1+N', '0 2+N'],
+    19: ['0 0 0', '0+N 0+N 1+N', '0+N 1+N 0', '0+N 1+N 1+N', '1+N 2+N 3+N', '1+N 3+N 3+N'],
+    22: ['0 0', '1+N 0', '2+N 1+N', '3+N 1+N', '4+N 3+N', '5+N 3+N'],
+    26: ['0 0', '0 2+2N', '1+N 2+N', '1+N 4+N'],
+    29: ['0 0 0', '0 1+N 2+N', '0+N 0 0+N', '0+N 1+N 2+N', '2+N 2+N 2+N', '2+N 3+N 4+N'],
+    30: ['0 0', '0 2+2N', '1+N 1+N', '1+N 3+N', '2+2N 0+N', '2+2N 2+N', '2+N 3+N', '2+N 5+N',
+        '3+2N 2+N', '3+2N 4+N', '3+N 1+N', '3+N 3+N', '4+2N 4+N', '4+2N 6+N', '4+N 3+N', '4+N 5+N'],
+    32: ['0 0', '0+N 1+N', '2+2N 0+N', '2+N 0+N', '2+N 1+N', '2+N 2+N', '4+2N 1+N', '4+N 0+N',
+        '4+N 1+N', '4+N 2+N', '6+N 1+N', '6+N 2+N'],
+    33: ['0 0 0', '1+N 2 1+N', '1+N 2+N 1', '2+N 2+N 1', '2+N 4+N 2+N', '3+N 4+N 2+N',
+        '4+N 6+N 3+N'],
+    34: ['0 0', '0+N 2+2N', '1+N 0+N', '1+N 2+N', '2+2N 0', '2+N 2+2N', '3+N 0+N', '3+N 2+N'],
+    35: ['0 0 0', '0+N 2+N 0'],
+    36: ['0 0', '1 1', '1+N 1+N', '1+N 2+N', '2+2N 0', '2+N 2+N', '2+N 3+N', '3 1', '3+N 1+N',
+        '3+N 2+N', '3+N 4+N', '4+N 2+N', '4+N 3+N', '5+N 4+N'],
+    38: ['0 0', '0 2+2N', '2+N 2+N', '2+N 4+N'],
+    40: ['0 0', '1 2+N', '1+N 1', '2 2', '2+2N 0', '2+N 2', '2+N 3+N', '3+2N 2+N', '3+N 1', '4 2',
+        '4+2N 4+N', '4+N 2', '4+N 3+N', '4+N 5+N', '5+2N 4+N', '5+N 1', '6+2N 6+N', '6+N 2',
+        '6+N 5+N'],
+    44: ['0 0', '0 2+N', '0+N 0', '0+N 2+N', '1+N 0', '1+N 0+N', '1+N 2+N', '2+N 0+N', '2+N 2+N'],
+    46: ['0 0', '0 2+2N', '0+N 0+N', '0+N 2+N', '2+2N 0', '2+2N 2+2N', '2+N 0+N', '2+N 1+N',
+        '2+N 2+N', '2+N 3+N', '4+N 1+N', '4+N 3+N'],
+    47: ['0 0 0', '0 0+N 1+N', '1+N 2+N 1', '1+N 2+N 2+N', '2+N 2 1', '2+N 2+N 2+N', '3+N 4+N 3+N'],
+}
+
+
+def test_decided_period_one_unions_keep_equivalent_results():
+    rng = random.Random(2026)
+    for i in range(50):
+        alphabet = ABC if i % 2 else AB
+        u = random_union(rng, alphabet, 1)
+        if i not in PARENT_CLOSURES:
+            continue
+        before = DplUnion.of(alphabet, [_parse_term(alphabet, t) for t in PARENT_CLOSURES[i]])
+        after = union_iterated_shuffle(u)
+        witness = equivalence_witness(minimize(dpl_to_dfa(before)), minimize(dpl_to_dfa(after)))
+        assert witness is None, f"case {i}: the closures differ on {witness!r}"
+        assert len(after.terms) <= len(before.terms), i
+
+
+def test_unabsorbed_linear_set_is_undecided():
+    # no sub-alphabet certificate applies, and the walk finds bad states past
+    # a cycle for the linear set aaaabbbbcc + ⟨aabbb, aabcc⟩ of the last two
+    # terms, so the fold names it rather than guess
+    terms = ("3 0+3N 0", "2 3 0", "3 0 2+2N", "2 1 2")
+    u = DplUnion.of(ABC, [_parse_term(ABC, t) for t in terms])
+    with pytest.raises(UndecidedError, match="aaaabbbbcc \\+ ⟨aabbb, aabcc⟩"):
+        union_iterated_shuffle(u)
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_contained_term_is_pruned(capsys):
+    # the term a:1+N b:1+N c:2+N lies in a*b*c+, so two terms remain: ε and a*b*c+
+    expr = "sh*(perm(abc) | perm(c) <> {a,b}*)"
+    code, out, _ = run(capsys, "normalize", "--alphabet", "abc", expr)
+    assert code == 0
+    assert len(json.loads(out)["terms"]) == 2
+
+
+def test_closure_with_a_period_two_term_is_a_union(capsys):
+    code, out, _ = run(capsys, "normalize", "--alphabet", "ab", "sh*(F(a,1,2) | perm(b))")
+    assert code == 0
+    printed = dpl_union_from_dict(json.loads(out))
+    assert_exact(DplUnion.of(AB, [_parse_term(AB, "1+2N 0+N"), _parse_term(AB, "0 1")]), printed)
+
+
+def test_non_regular_verdict_names_its_witness(capsys):
+    code, out, _ = run(capsys, "regular", "--alphabet", "ab", "sh*(perm(aab) | {a}*)")
+    assert code == 0
+    assert json.loads(out) == {
+        "regular": False,
+        "witness": "b",
+        "subalphabet": ["a", "b"],
+        "representation": None,
+    }
+    code, _, err = run(capsys, "normalize", "--alphabet", "ab", "sh*(perm(aab) | {a}*)")
+    assert code == 3
+    assert "not regular" in err
+
+
+def test_linear_set_guard(capsys, monkeypatch):
+    monkeypatch.setattr(aperiodic, "CLOSURE_LINEAR_SET_GUARD", 3)
+    u = DplUnion.of(AB, [_parse_term(AB, "1 0"), _parse_term(AB, "2 0"), _parse_term(AB, "1 1")])
+    with pytest.raises(SizeGuardError) as err:
+        union_iterated_shuffle(u)
+    assert (err.value.guard, err.value.limit, err.value.observed) == ("closure_linear_sets", 3, 4)
+    expr = "sh*(perm(a) | perm(aa) | perm(ab) <> {b}*)"
+    code, out, err = run(capsys, "normalize", "--alphabet", "ab", expr)
+    assert code == 4
+    assert out == ""
+    assert "closure linear set guard" in err
