@@ -192,15 +192,26 @@ def _contains(outer: Linear, inner: Linear) -> bool:
     return _in_monoid(_minus(b2, b1), p1) and all(_in_monoid(p, p1) for p in p2)
 
 
+def _shuffle_in(s: Linear, b: Vector, v: frozenset[Vector]) -> list[Linear]:
+    """(c + ⟨P⟩) ⧢ sh*(b + ⟨V⟩) = (c + ⟨P⟩) ∪ (c + b + ⟨P ∪ V ∪ {b}⟩).  For
+    a point (V empty) that is the one set c + ⟨P ∪ {b}⟩, unless only c + ⟨P⟩
+    is recognizable: merged, it would hide that piece from the regular part."""
+    c, p = s
+    merged = (c, p | {b})
+    if not v and (_recognizable(merged) or not _recognizable(s)):
+        return [merged]
+    return [s, (tuple(x + y for x, y in zip(c, b)), p | v | {b})]
+
+
 def _fold(u: DplUnion) -> list[Linear]:
     """sh*(u) as linear sets: the terms without an exact count through
-    `dpl_iterated_shuffle`, then each other term b + ⟨V⟩ shuffled in as
-    {0} ∪ (b + ⟨V ∪ {b}⟩).  After each step the sets that another contains
-    are dropped, as `dpl.maximal_terms` drops terms."""
+    `dpl_iterated_shuffle`, then each other term b + ⟨V⟩ shuffled in by
+    `_shuffle_in`.  After each step the sets that another contains are
+    dropped, as `dpl.maximal_terms` drops terms."""
     periodic = DplUnion(u.alphabet, tuple(t for t in u.terms if not t.exact))
     sets = [_term_linear(t) for t in dpl_iterated_shuffle(periodic).terms]
     for b, v in (_term_linear(t) for t in u.terms if t.exact):
-        sets += [(tuple(x + y for x, y in zip(c, b)), p | v | {b}) for c, p in sets]
+        sets = [n for s in sets for n in _shuffle_in(s, b, v)]
         if len(sets) > CLOSURE_LINEAR_SET_GUARD:
             raise SizeGuardError.over(
                 "closure linear set", "closure_linear_sets", CLOSURE_LINEAR_SET_GUARD, len(sets)
@@ -227,7 +238,7 @@ def _terms_of(alphabet: Alphabet, s: Linear) -> tuple[DiagonalPeriodic, ...]:
     """A recognizable linear set as terms: the shuffle closure of the words
     of its periods, shifted by its base."""
     rep = build_representation(FiniteLang.of(alphabet, _words(alphabet, s[1])))
-    return dpl_shift(rep, ParikhVector(alphabet, s[0])).terms
+    return dpl_shift(rep, ParikhVector(alphabet, s[0])).terms if any(s[0]) else rep.terms
 
 
 def _certify_non_regular(u: DplUnion) -> None:
@@ -334,12 +345,13 @@ def union_iterated_shuffle(u: DplUnion) -> DplUnion:
         return dpl_iterated_shuffle(u)
     alphabet = u.alphabet
     sets = _fold(u)
+    converted = [s for s in sets if _recognizable(s)]
     rest = [s for s in sets if not _recognizable(s)]
     if rest:
         _certify_non_regular(u)
-    regular = maximal_terms(
-        DplUnion.of(alphabet, [t for s in sets if _recognizable(s) for t in _terms_of(alphabet, s)])
-    )
+    regular = DplUnion.of(alphabet, [t for s in converted for t in _terms_of(alphabet, s)])
+    if len(converted) > 1:  # one set's terms already form an antichain
+        regular = maximal_terms(regular)
     terms = list(regular.terms)
     for s in rest:
         escapes = _escapes(regular, s)

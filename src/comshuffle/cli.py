@@ -1,6 +1,11 @@
 """Command line front end.
 
 Commands: normalize, member, regular (alias regular?), dfa, check, report.
+Every iterated shuffle, of a union or of a word set's Parikh image, goes
+through `aperiodic.union_iterated_shuffle`.  A closure proven not regular,
+or undecided, becomes a "closure" value: `member` and `check` answer on it
+exactly, `regular` prints the non-regularity certificate, and `normalize`,
+`dfa` and `report` exit 3.
 Exit codes: 0 success, 2 syntax error, 3 outside the implemented fragment,
 undecided or not regular, 4 resource guard exceeded, 5 oracle mismatch.
 """
@@ -72,7 +77,7 @@ from .oracle import (
     sets_equal,
     vector_sums,
 )
-from .regularity import FiniteLang, decide_finite
+from .regularity import FiniteLang
 from .words import (
     Alphabet, ParikhVector, arrangements, parikh, perm_set, project_word, word_order_key
 )
@@ -88,12 +93,14 @@ class Value:
 
     kind "dpl": DplUnion, the commutative languages (exact letter counts
     included); "finite": FiniteLang, an exact word set, which need not be
-    permutation closed; "shuffle_finite": FiniteLang whose iterated shuffle is
-    meant (non-regular case, membership only).
+    permutation closed; "closure": the iterated shuffle of the DplUnion
+    payload, which has no normal form (not regular, or undecided) and
+    answers membership only; `error` says why.
     """
 
     kind: str
     payload: object
+    error: Optional[ComshuffleError] = None
 
     @property
     def alphabet(self) -> Alphabet:
@@ -129,23 +136,21 @@ def _finite_shuffle(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
 
 def _finite_union(lang: FiniteLang) -> DplUnion:
     """The Parikh image of a word set: one exact point term per count vector."""
-    return DplUnion.of(
-        lang.alphabet,
-        (DiagonalPeriodic.perm_shuffle(parikh(w, lang.alphabet)) for w in lang.words),
-    )
+    vectors = dict.fromkeys(parikh(w, lang.alphabet) for w in lang.words)
+    return DplUnion(lang.alphabet, tuple(map(DiagonalPeriodic.perm_shuffle, vectors)))
 
 
 def _as_union(v: Value) -> Optional[DplUnion]:
     """The value as a union of terms; a word set converts exactly when it is
     permutation closed, that is when it holds, for each multiset of letters
-    it uses, all the multinomially many words with those letters."""
+    it uses, all the multinomially many words with those letters.  A closure
+    raises the error that kept it from a normal form."""
     if v.kind == "dpl":
         return v.payload
-    if v.kind == "finite":
-        groups = Counter("".join(sorted(w)) for w in v.payload.words)
-        if all(n == arrangements(letters) for letters, n in groups.items()):
-            return v.points
-    return None
+    if v.kind == "closure":
+        raise v.error
+    groups = Counter("".join(sorted(w)) for w in v.payload.words)
+    return v.points if all(n == arrangements(k) for k, n in groups.items()) else None
 
 
 def _fragment(op: str, kinds) -> FragmentError:
@@ -179,9 +184,7 @@ def _member_word(v: Value, w: TUnion[str, ParikhVector]) -> bool:
     vec = parikh(w, v.alphabet) if isinstance(w, str) else w
     if v.kind == "dpl":
         return dpl_union_member(vec, v.payload)
-    if v.kind == "shuffle_finite":
-        return union_closure_member(vec, v.points)
-    raise TypeError(v.kind)
+    return union_closure_member(vec, v.payload)
 
 
 def _intersect_values(v1: Value, v2: Value) -> Value:
@@ -207,16 +210,16 @@ _BINARY = {
 
 
 def _iterated_shuffle(child: Value) -> Value:
-    """A word set goes to the finite-language criterion, a union to the
-    exact fold of `union_iterated_shuffle`."""
-    if child.kind == "finite":
-        verdict = decide_finite(child.payload)
-        if verdict.regular:
-            return Value("dpl", verdict.representation)
-        return Value("shuffle_finite", child.payload)
-    if child.kind != "dpl":
-        raise _fragment("iterated shuffle", (child.kind,))
-    return Value("dpl", union_iterated_shuffle(child.payload))
+    """The exact fold of `union_iterated_shuffle`, on a union or on a word
+    set's Parikh image; a closure it proves not regular, or cannot decide,
+    stays a "closure" value.  A closure is its own iterated shuffle."""
+    if child.kind == "closure":
+        return child
+    u = child.points if child.kind == "finite" else child.payload
+    try:
+        return Value("dpl", union_iterated_shuffle(u))
+    except (NonRegularError, UndecidedError) as err:
+        return Value("closure", u, err)
 
 
 def eval_expr(e: Expr, alphabet: Alphabet, clause_guard: int = DEFAULT_CLAUSE_GUARD) -> Value:
@@ -348,10 +351,7 @@ def value_to_dict(v: Value) -> dict:
             "alphabet": list(v.alphabet.letters),
             "words": sorted(v.payload.words, key=word_order_key),
         }
-    raise FragmentError(
-        "no normal form is available for this expression; its iterated shuffle "
-        "is not regular"
-    )
+    raise v.error
 
 
 def _canonical_json(data: dict) -> str:
@@ -359,20 +359,10 @@ def _canonical_json(data: dict) -> str:
 
 
 def _verdict_dict(e: Expr, alphabet: Alphabet, clause_guard: int) -> dict:
-    if isinstance(e, IterShuffle):
-        child = eval_expr(e.child, alphabet, clause_guard)
-        if child.kind == "finite":
-            return decide_finite(child.payload).to_dict()
-        try:
-            value = _iterated_shuffle(child)
-        except NonRegularError as err:
-            witness = {"witness": err.letter, "subalphabet": list(err.subalphabet)}
-            return {"regular": False, **witness, "representation": None}
-    else:
-        value = eval_expr(e, alphabet, clause_guard)
-    if value.kind == "shuffle_finite":
-        # only reachable when IterShuffle sits deeper in the expression
-        raise FragmentError("non-regular subexpression inside a larger expression")
+    value = eval_expr(e, alphabet, clause_guard)
+    if value.kind == "closure" and isinstance(err := value.error, NonRegularError):
+        witness = {"witness": err.letter, "subalphabet": list(err.subalphabet)}
+        return {"regular": False, **witness, "representation": None}
     rep = value_to_dict(value)
     return {"regular": True, "witness": None, "representation": rep}
 

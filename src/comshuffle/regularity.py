@@ -6,6 +6,10 @@ holds, the closure has an explicit representation as a finite union of
 diagonal periodic languages, built here as one term per minimal offset of
 each residue class; when it fails, bounded Nerode-class growth is reported as
 evidence (never as a proof).
+
+The criterion is the one-linear-set case of `aperiodic.union_iterated_shuffle`
+(the closure of L is 0 + ⟨L⟩), which the CLI uses for word sets too; that
+fold converts each recognizable linear set with `build_representation`.
 """
 
 from __future__ import annotations
@@ -56,17 +60,6 @@ class RegularityVerdict:
     def __post_init__(self):
         if self.regular == (self.witness_letter is not None):
             raise ValueError("witness letter present iff non-regular")
-
-    def to_dict(self) -> dict:
-        from .dpl import dpl_union_to_dict
-
-        return {
-            "regular": self.regular,
-            "witness": self.witness_letter,
-            "representation": (
-                dpl_union_to_dict(self.representation) if self.representation else None
-            ),
-        }
 
 
 def _failing_letter(lang: FiniteLang) -> Optional[str]:

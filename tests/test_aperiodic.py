@@ -184,9 +184,9 @@ def test_union_iterated_shuffle_undecided_for_equal_counts():
 
 
 def test_union_iterated_shuffle_term_guard(monkeypatch):
-    # two unary terms already give four linear sets before pruning
+    # two terms with a progression already give four linear sets before pruning
     monkeypatch.setattr(aperiodic, "CLOSURE_LINEAR_SET_GUARD", 3)
-    terms = [term(AB, "a" * (i + 1)) for i in range(9)]
+    terms = [term(AB, "a", "b"), term(AB, "aa", "b"), term(AB, "ab")]
     with pytest.raises(SizeGuardError) as err:
         union_iterated_shuffle(DplUnion.of(AB, terms))
     assert err.value.guard == "closure_linear_sets"

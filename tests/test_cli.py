@@ -283,3 +283,41 @@ def test_perm_of_a_long_word_answers_quickly(capsys, alphabet, word, expected):
     code, out, _ = run(capsys, "member", "--alphabet", alphabet, word, f"sh*(perm({word}))")
     assert time.monotonic() - start < 5
     assert (code, out) == expected
+
+
+def test_member_of_a_closure_proven_not_regular(capsys):
+    expr = "sh*(perm(aab) | {a}*)"
+    code, out, _ = run(capsys, "member", "--alphabet", "ab", "aab", expr)
+    assert (code, out) == (0, "true\n")
+    code, out, _ = run(capsys, "member", "--alphabet", "ab", "abab", expr)
+    assert (code, out) == (0, "false\n")
+    code, out, _ = run(capsys, "check", "--alphabet", "ab", "--bound", "6", expr)
+    assert code == 0
+    assert out.startswith("PASS")
+
+
+def test_member_of_the_closure_of_twelve_words_answers_quickly(capsys):
+    words = "ab,ac,bc,aab,abb,aac,acc,bbc,bcc,abc,aabb,aacc"
+    start = time.monotonic()
+    code, out, _ = run(capsys, "member", "--alphabet", "abc", "aabbcc", "sh*({%s})" % words)
+    assert time.monotonic() - start < 5
+    assert (code, out) == (0, "true\n")
+
+
+def test_word_set_verdict_names_its_subalphabet(capsys):
+    code, out, _ = run(capsys, "regular", "--alphabet", "abc", "sh*({ab,c})")
+    assert code == 0
+    assert json.loads(out) == {
+        "regular": False, "witness": "a", "subalphabet": ["a", "b"], "representation": None
+    }
+
+
+def test_a_closure_is_its_own_iterated_shuffle(capsys):
+    code, out, _ = run(capsys, "member", "--alphabet", "ab", "abab", "sh*(sh*({ab}))")
+    assert (code, out) == (0, "true\n")
+
+
+def test_a_closure_without_a_normal_form_has_no_automaton(capsys):
+    code, _, err = run(capsys, "dfa", "--alphabet", "ab", "sh*({ab})")
+    assert code == 3
+    assert "not regular" in err

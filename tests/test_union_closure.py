@@ -22,7 +22,7 @@ from comshuffle.dpl import (
 from comshuffle.errors import NonRegularError, SizeGuardError, UndecidedError
 from comshuffle.oracle import closure_under_addition, predicate_enumerate, sets_equal
 from comshuffle.progressions import Progression
-from comshuffle.words import Alphabet, ParikhVector
+from comshuffle.words import Alphabet, ParikhVector, parikh
 
 AB = Alphabet.of("ab")
 ABC = Alphabet.of("abc")
@@ -168,13 +168,61 @@ def test_decided_period_one_unions_keep_equivalent_results():
         assert len(after.terms) <= len(before.terms), i
 
 
+TWELVE_WORDS = "ab ac bc aab abb aac acc bbc bcc abc aabb aacc".split()
+
+
+def _points(alphabet: Alphabet, words) -> DplUnion:
+    return DplUnion.of(alphabet, [DiagonalPeriodic.perm_shuffle(parikh(w, alphabet)) for w in words])
+
+
+def test_point_terms_fold_to_at_most_one_more_linear_set():
+    # a point b merges into c + ⟨P⟩ as c + ⟨P ∪ {b}⟩, so the sets do not double
+    rng = random.Random(1207)
+    cases = [_points(ABC, TWELVE_WORDS)]
+    for _ in range(80):
+        words = {
+            "".join(rng.choice("abc") for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 9))
+        }
+        cases.append(_points(ABC, sorted(words)))
+    for u in cases:
+        assert len(aperiodic._fold(u)) <= len(u.terms) + 1, u
+
+
+# union_iterated_shuffle of PROBE_UNION before points merged in the fold
+PROBE_UNION = ("1 2 1", "1 0 1+3N", "1+3N 1+3N 2+2N", "1+4N 0 2+2N")
+PARENT_PROBE_CLOSURE = (
+    "0 0 0|1 0 1+3N|1 2 1|1+3N 1+3N 2+2N|1+4N 0 2+2N|10+N 2+3N 7+2N|10+N 3+3N 6+2N|2 0 2+3N|"
+    "2 2 2+3N|2 4 2|2+3N 1+3N 3+2N|2+3N 1+3N 4+2N|2+3N 2+3N 4+2N|2+3N 3+3N 3+2N|2+4N 0 3+2N|"
+    "2+4N 0 4+2N|2+4N 2 3+2N|3 0 3+3N|3 2 3+3N|3 4 3+3N|3 6 3|3+3N 1+3N 4+2N|3+3N 1+3N 5+2N|"
+    "3+3N 2+3N 5+2N|3+3N 2+3N 6+2N|3+3N 3+3N 4+2N|3+3N 3+3N 5+2N|3+3N 5+3N 4+2N|3+4N 0 4+2N|"
+    "3+4N 0 5+2N|3+4N 2 4+2N|3+4N 2 5+2N|4 0 4+3N|4 2 4+3N|4 6 4+3N|4 8 4|4+3N 1+3N 5+2N|"
+    "4+3N 2+3N 6+2N|4+3N 2+3N 7+2N|4+3N 3+3N 5+2N|4+3N 3+3N 6+2N|4+3N 5+3N 5+2N|4+4N 0 5+2N|"
+    "4+4N 0 6+2N|4+4N 2 5+2N|4+4N 2 8+2N|5 0 5+3N|5 2 5+3N|5 8 5+3N|5+3N 2+3N 7+2N|"
+    "5+3N 3+3N 6+2N|5+4N 0 7+2N|8+N 1+3N 4+2N|9+N 1+3N 5+2N|9+N 2+3N 6+2N|9+N 3+3N 5+2N"
+)
+
+
+def test_point_merge_keeps_a_recognizable_piece_apart():
+    # merged unconditionally, the point abbc turns recognizable sets such as
+    # 0 + ⟨⟩ into sets that are not, the regular part lacks them, and the walk
+    # leaves ac + ⟨abbc, ac, ccc⟩ undecided; kept apart, the closure is decided
+    # and equals the one before points merged
+    u = DplUnion.of(ABC, [_parse_term(ABC, t) for t in PROBE_UNION])
+    after = union_iterated_shuffle(u)
+    before = DplUnion.of(ABC, [_parse_term(ABC, t) for t in PARENT_PROBE_CLOSURE.split("|")])
+    assert equivalence_witness(minimize(dpl_to_dfa(before)), minimize(dpl_to_dfa(after))) is None
+    assert len(after.terms) <= len(before.terms)
+    assert_exact(u, after)
+
+
 def test_unabsorbed_linear_set_is_undecided():
     # no sub-alphabet certificate applies, and the walk finds bad states past
-    # a cycle for the linear set aaaabbbbcc + ⟨aabbb, aabcc⟩ of the last two
+    # a cycle for the linear set aabbb + ⟨aabbb, aabcc⟩ of the last two
     # terms, so the fold names it rather than guess
     terms = ("3 0+3N 0", "2 3 0", "3 0 2+2N", "2 1 2")
     u = DplUnion.of(ABC, [_parse_term(ABC, t) for t in terms])
-    with pytest.raises(UndecidedError, match="aaaabbbbcc \\+ ⟨aabbb, aabcc⟩"):
+    with pytest.raises(UndecidedError, match="aabbb \\+ ⟨aabbb, aabcc⟩"):
         union_iterated_shuffle(u)
 
 
@@ -215,12 +263,14 @@ def test_non_regular_verdict_names_its_witness(capsys):
 
 def test_linear_set_guard(capsys, monkeypatch):
     monkeypatch.setattr(aperiodic, "CLOSURE_LINEAR_SET_GUARD", 3)
-    u = DplUnion.of(AB, [_parse_term(AB, "1 0"), _parse_term(AB, "2 0"), _parse_term(AB, "1 1")])
+    terms = ("1 0+N", "2 0+N", "1 1")
+    u = DplUnion.of(AB, [_parse_term(AB, t) for t in terms])
     with pytest.raises(SizeGuardError) as err:
         union_iterated_shuffle(u)
     assert (err.value.guard, err.value.limit, err.value.observed) == ("closure_linear_sets", 3, 4)
-    expr = "sh*(perm(a) | perm(aa) | perm(ab) <> {b}*)"
+    expr = "sh*(perm(a) <> {b}* | perm(aa) <> {b}* | perm(ab))"
     code, out, err = run(capsys, "normalize", "--alphabet", "ab", expr)
     assert code == 4
     assert out == ""
     assert "closure linear set guard" in err
+    assert "4 > 3" in err
