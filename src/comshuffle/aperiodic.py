@@ -8,7 +8,8 @@ The iterated shuffle of any union of terms is computed on linear sets
 b + ⟨P⟩ of Parikh vectors (Ginsburg & Spanier, Pacific J. Math. 16, 1966):
 sh*(A ∪ B) = sh*(A) ⧢ sh*(B), and a term b + ⟨V⟩ has the closure
 {0} ∪ (b + ⟨V ∪ {b}⟩).  A linear set whose non-unary periods use only
-letters with a unary period is recognizable and converts to terms exactly.
+letters with a unary period is recognizable and converts to terms exactly
+(`regularity.closure_terms`).
 Each other one is absorbed, exactly, by a walk on a DFA of the recognizable
 part, or a sub-alphabet certificate proves the closure not regular, or the
 computation reports it undecided.
@@ -26,9 +27,7 @@ from typing import Iterable, Optional, Sequence
 from .dpl import (
     DiagonalPeriodic,
     DplUnion,
-    dpl_iterated_shuffle,
     dpl_project,
-    dpl_shift,
     dpl_shuffle,
     dpl_union_from_dict,
     dpl_union_member,
@@ -38,7 +37,7 @@ from .dpl import (
 )
 from .errors import NonRegularError, SizeGuardError, UndecidedError
 from .progressions import Progression
-from .regularity import FiniteLang, build_representation
+from .regularity import closure_terms
 from .words import Alphabet, ParikhVector, word_of
 
 # Linear sets one fold step may hold before pruning: n terms give up to 2^n.
@@ -195,22 +194,21 @@ def _contains(outer: Linear, inner: Linear) -> bool:
 def _shuffle_in(s: Linear, b: Vector, v: frozenset[Vector]) -> list[Linear]:
     """(c + ⟨P⟩) ⧢ sh*(b + ⟨V⟩) = (c + ⟨P⟩) ∪ (c + b + ⟨P ∪ V ∪ {b}⟩).  For
     a point (V empty) that is the one set c + ⟨P ∪ {b}⟩, unless only c + ⟨P⟩
-    is recognizable: merged, it would hide that piece from the regular part."""
+    is recognizable: merged, it would hide that piece from the regular part.
+    A zero base adds no period."""
     c, p = s
-    merged = (c, p | {b})
+    merged = (c, p | {b} if any(b) else p)
     if not v and (_recognizable(merged) or not _recognizable(s)):
         return [merged]
-    return [s, (tuple(x + y for x, y in zip(c, b)), p | v | {b})]
+    return [s, (tuple(x + y for x, y in zip(c, b)), merged[1] | v)]
 
 
-def _fold(u: DplUnion) -> list[Linear]:
-    """sh*(u) as linear sets: the terms without an exact count through
-    `dpl_iterated_shuffle`, then each other term b + ⟨V⟩ shuffled in by
-    `_shuffle_in`.  After each step the sets that another contains are
+def fold_linear_sets(u: DplUnion) -> list[Linear]:
+    """sh*(u) as linear sets: from {0}, each term b + ⟨V⟩ of u shuffled in
+    by `_shuffle_in`.  After each step the sets that another contains are
     dropped, as `dpl.maximal_terms` drops terms."""
-    periodic = DplUnion(u.alphabet, tuple(t for t in u.terms if not t.exact))
-    sets = [_term_linear(t) for t in dpl_iterated_shuffle(periodic).terms]
-    for b, v in (_term_linear(t) for t in u.terms if t.exact):
+    sets: list[Linear] = [((0,) * len(u.alphabet), frozenset())]
+    for b, v in map(_term_linear, u.terms):
         sets = [n for s in sets for n in _shuffle_in(s, b, v)]
         if len(sets) > CLOSURE_LINEAR_SET_GUARD:
             raise SizeGuardError.over(
@@ -224,6 +222,12 @@ def _fold(u: DplUnion) -> list[Linear]:
     return sets
 
 
+def in_linear_sets(v: Vector, sets: Iterable[Linear]) -> bool:
+    """Whether the count vector v lies in one of the linear sets b + ⟨P⟩:
+    v - b is a sum of periods."""
+    return any(_in_monoid(_minus(v, b), p) for b, p in sets)
+
+
 def _recognizable(s: Linear) -> bool:
     """Every letter of a non-unary period also has a unary period."""
     unary = {i for p in s[1] if _is_unary(p) for i, x in enumerate(p) if x}
@@ -232,13 +236,6 @@ def _recognizable(s: Linear) -> bool:
 
 def _words(alphabet: Alphabet, vectors: Iterable[Vector]) -> list[str]:
     return sorted(word_of(ParikhVector(alphabet, v)) for v in vectors)
-
-
-def _terms_of(alphabet: Alphabet, s: Linear) -> tuple[DiagonalPeriodic, ...]:
-    """A recognizable linear set as terms: the shuffle closure of the words
-    of its periods, shifted by its base."""
-    rep = build_representation(FiniteLang.of(alphabet, _words(alphabet, s[1])))
-    return dpl_shift(rep, ParikhVector(alphabet, s[0])).terms if any(s[0]) else rep.terms
 
 
 def _certify_non_regular(u: DplUnion) -> None:
@@ -333,23 +330,20 @@ def union_iterated_shuffle(u: DplUnion) -> DplUnion:
     """Iterated shuffle of a union of terms, with any periods and exact
     counts, exactly or with a proof that it is not regular.
 
-    A union without nonzero exact counts goes to `dpl_iterated_shuffle`.
-    Otherwise `_fold` gives the closure as linear sets, and the recognizable
-    ones convert to terms.  If some are not, `_certify_non_regular` raises
-    `NonRegularError` when it applies; otherwise each of them is walked on a
-    DFA of the converted part (`_escapes`), and its finitely many escaping
-    slices join the result, or `UndecidedError` names it.  No term of the
-    result lies in another.
+    `fold_linear_sets` gives the closure as linear sets, and the
+    recognizable ones convert to terms by `regularity.closure_terms`.  If
+    some are not, `_certify_non_regular` raises `NonRegularError` when it
+    applies; otherwise each of them is walked on a DFA of the converted part
+    (`_escapes`), and its finitely many escaping slices join the result, or
+    `UndecidedError` names it.  No term of the result lies in another.
     """
-    if not any(t.exact for t in u.terms):
-        return dpl_iterated_shuffle(u)
     alphabet = u.alphabet
-    sets = _fold(u)
+    sets = fold_linear_sets(u)
     converted = [s for s in sets if _recognizable(s)]
     rest = [s for s in sets if not _recognizable(s)]
     if rest:
         _certify_non_regular(u)
-    regular = DplUnion.of(alphabet, [t for s in converted for t in _terms_of(alphabet, s)])
+    regular = DplUnion.of(alphabet, [t for s in converted for t in closure_terms(alphabet, *s)])
     if len(converted) > 1:  # one set's terms already form an antichain
         regular = maximal_terms(regular)
     terms = list(regular.terms)
@@ -361,13 +355,13 @@ def union_iterated_shuffle(u: DplUnion) -> DplUnion:
                 f" + ⟨{', '.join(_words(alphabet, s[1]))}⟩ is not absorbed by the regular part"
             )
         units = frozenset(p for p in s[1] if _is_unary(p))
-        terms += [t for v in escapes for t in _terms_of(alphabet, (v, units))]
+        terms += [t for v in escapes for t in closure_terms(alphabet, v, units)]
     return maximal_terms(DplUnion.of(alphabet, terms)) if rest else regular
 
 
 def union_closure_member(v: ParikhVector, u: DplUnion) -> bool:
-    """Exact membership in the iterated shuffle of any union: v lies in a
-    linear set b + ⟨P⟩ of the fold when v - b is a sum of periods."""
+    """Exact membership in the iterated shuffle of any union: whether v lies
+    in a linear set of its fold."""
     if v.alphabet != u.alphabet:
         raise ValueError("alphabet mismatch")
-    return any(_in_monoid(_minus(v.counts, b), p) for b, p in _fold(u))
+    return in_linear_sets(v.counts, fold_linear_sets(u))

@@ -18,10 +18,12 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Optional, Union as TUnion
 
-from .aperiodic import union_closure_member, union_iterated_shuffle
+from .aperiodic import (
+    fold_linear_sets, in_linear_sets, union_closure_member, union_iterated_shuffle
+)
 from .automata import (
     STATE_GUARD_DEFAULT,
     dfa_to_dict,
@@ -111,6 +113,11 @@ class Value:
         """The Parikh image of a word-set payload, built once per value."""
         return _finite_union(self.payload)
 
+    @cached_property
+    def linear_sets(self) -> list:
+        """The linear sets of a closure payload's fold, built once per value."""
+        return fold_linear_sets(self.payload)
+
 
 def _shuffle_pair_words(w1: str, w2: str) -> set[str]:
     if (n := len(w1) + len(w2)) > WORD_SHUFFLE_MAX_LEN:
@@ -184,7 +191,7 @@ def _member_word(v: Value, w: TUnion[str, ParikhVector]) -> bool:
     vec = parikh(w, v.alphabet) if isinstance(w, str) else w
     if v.kind == "dpl":
         return dpl_union_member(vec, v.payload)
-    return union_closure_member(vec, v.payload)
+    return in_linear_sets(vec.counts, v.linear_sets)
 
 
 def _intersect_values(v1: Value, v2: Value) -> Value:
@@ -388,7 +395,12 @@ def cmd_member(args) -> int:
         if a not in alphabet:
             raise ParseError(f"unknown letter {a!r} in word")
     value = eval_expr(e, alphabet, args.guard_clauses)
-    print("true" if _member_word(value, args.word) else "false")
+    if value.kind == "closure":
+        # one question: the fold and its test in one call, nothing kept
+        found = union_closure_member(parikh(args.word, alphabet), value.payload)
+    else:
+        found = _member_word(value, args.word)
+    print("true" if found else "false")
     return 0
 
 
@@ -446,7 +458,9 @@ def cmd_check(args) -> int:
     return 5
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="comshuffle",
         description="Algebra of commutative regular languages in diagonal periodic form.",

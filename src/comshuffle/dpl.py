@@ -6,14 +6,15 @@ meaning that the letter does not occur.  The letters with a progression form
 the term's support Γ; the term whose count sets are all zero is {ε}, and a
 term whose progressions all have period one is perm(u) ⧢ Γ*.  Finite unions
 of these are closed under union, intersection, binary shuffle, projection and
-inverse projection, and, for terms without nonzero exact counts, iterated
-shuffle, which is what this module implements.
+inverse projection, which is what this module implements.  They are closed
+under iterated shuffle too when no term has a nonzero exact count;
+`dpl_iterated_shuffle` takes such unions to the linear-set fold of
+`aperiodic.union_iterated_shuffle`, the one iterated-shuffle algorithm.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
@@ -253,37 +254,12 @@ def dpl_shuffle(u1: DplUnion, u2: DplUnion) -> DplUnion:
     return DplUnion.of(u1.alphabet, terms)
 
 
-def _iterate_term(t: DiagonalPeriodic) -> DplUnion:
-    """{ε} ∪ ⋃_{i=1..N} (term with offsets scaled by i); the term's other
-    letters have count zero.  N = lcm of p_a / gcd(k_a, p_a) is the order of
-    the offsets modulo the periods: N·k_a is a multiple of p_a, so the term
-    for i + N lies in the term for i."""
-    n = reduce(
-        math.lcm,
-        (s.period // math.gcd(s.offset, s.period) for s in t.sets if isinstance(s, Progression)),
-        1,
-    )
-    terms = [DiagonalPeriodic.epsilon(t.alphabet)]
-    for i in range(1, n + 1):
-        terms.append(
-            DiagonalPeriodic(
-                t.alphabet,
-                tuple(
-                    Progression(i * s.offset, s.period) if isinstance(s, Progression) else 0
-                    for s in t.sets
-                ),
-            )
-        )
-    return DplUnion.of(t.alphabet, terms)
-
-
 def dpl_iterated_shuffle(u: DplUnion) -> DplUnion:
     """Iterated shuffle of a union whose terms have no nonzero exact count.
 
     An exact count ties letters together (the closure of perm(ab) is not
     regular), so such terms are refused; `aperiodic.union_iterated_shuffle`
-    takes any union, folding such terms in as linear sets.  After each fold step the terms
-    that another term contains are dropped (`maximal_terms`), so the result
+    takes any union.  For these unions it is the same fold, whose result
     holds no term contained in another.
     """
     for t in u.terms:
@@ -293,10 +269,10 @@ def dpl_iterated_shuffle(u: DplUnion) -> DplUnion:
                 f"iterated shuffle needs progressions only: letter {letter!r} has an exact count",
                 letter=letter,
             )
-    result = DplUnion.epsilon(u.alphabet)
-    for t in u.terms:
-        result = maximal_terms(dpl_shuffle(result, _iterate_term(t)))
-    return result
+    # imported here: aperiodic builds on this module
+    from .aperiodic import union_iterated_shuffle
+
+    return union_iterated_shuffle(u)
 
 
 def dpl_project(u: DplUnion, keep: Iterable[str]) -> DplUnion:

@@ -8,13 +8,15 @@ each residue class; when it fails, bounded Nerode-class growth is reported as
 evidence (never as a proof).
 
 The criterion is the one-linear-set case of `aperiodic.union_iterated_shuffle`
-(the closure of L is 0 + ⟨L⟩), which the CLI uses for word sets too; that
-fold converts each recognizable linear set with `build_representation`.
+(the closure of L is 0 + ⟨L⟩), which the CLI uses for word sets too.  That
+fold and `build_representation` share one conversion, `closure_terms`, which
+turns a recognizable linear set of count vectors into terms.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
@@ -26,7 +28,7 @@ from .progressions import Progression
 from .words import Alphabet, ParikhVector, check_word, parikh, word_order_key
 
 NERODE_MAX_BOUND = 12
-# Offsets `build_representation` may keep at once: one antichain per residue
+# Offsets `closure_terms` may keep at once: one antichain per residue
 # class, up to prod m_a classes, and the antichains can be wide.
 REPRESENTATION_OFFSET_GUARD = 100_000
 
@@ -71,43 +73,53 @@ def _failing_letter(lang: FiniteLang) -> Optional[str]:
 
 
 def build_representation(lang: FiniteLang) -> DplUnion:
-    """Closure of perm(L) under shuffle, as a union of diagonal periodic languages.
-
-    For each occurring letter one unary word (multiplicity m_a) is selected,
-    so the closure is the union, over the sums o of the other words, of the
-    terms o_a + m_a N on the occurring letters.  The sums are built as a fold
-    over those words.  A word v is added c < ord_v times, ord_v = lcm of
-    m_a / gcd(m_a, v_a), since ord_v copies of v add a multiple of m_a to
-    every letter.  Of the sums in one residue class mod (m_a), only the
-    componentwise-minimal ones are kept: a larger one gives a term that the
-    smaller one's term contains.  No term is contained in another, and the
-    offset-zero term holds ε, so there is no separate {ε} term.
-    """
+    """Closure of perm(L) under shuffle, as a union of diagonal periodic
+    languages: the unary-word criterion, then `closure_terms` of 0 + ⟨L⟩.
+    The offset-zero term holds ε, so there is no separate {ε} term."""
     witness = _failing_letter(lang)
     if witness is not None:
         raise CriterionError(
             f"letter {witness!r} occurs in the language but has no unary word", letter=witness
         )
-    words = [w for w in lang.words if w]  # ε contributes nothing to the closure
-    selected: dict[str, str] = {}
-    for a in lang.occurring_letters():
-        candidates = [w for w in words if set(w) == {a}]
-        selected[a] = min(candidates, key=lambda w: (len(w), words.index(w)))
-    # letters that do not occur stay at zero, which modulus one leaves alone
-    mods = tuple(len(selected[a]) if a in selected else 1 for a in lang.alphabet)
-    rest = [w for w in words if w not in set(selected.values())]
-    zero = (0,) * len(mods)
-    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {zero: [zero]}
-    for w in rest:
-        v = parikh(w, lang.alphabet).counts
+    zero = (0,) * len(lang.alphabet)
+    vectors = [parikh(w, lang.alphabet).counts for w in lang.words]
+    return DplUnion(lang.alphabet, closure_terms(lang.alphabet, zero, vectors))
+
+
+def closure_terms(
+    alphabet: Alphabet, base: tuple[int, ...], periods: Iterable[tuple[int, ...]]
+) -> tuple[DiagonalPeriodic, ...]:
+    """The linear set base + ⟨periods⟩ of count vectors as distinct terms,
+    for a recognizable one: each letter of a period also has a unary period.
+
+    Each letter a with a unary period gets the smallest one, m_a, as the
+    period of its progression; a letter without one keeps its base count.
+    The offsets are the base plus sums of the other periods, built as a fold
+    over them.  A period v is added c < ord_v times, ord_v = lcm of
+    m_a / gcd(m_a, v_a), since ord_v copies of v add a multiple of m_a to
+    every letter.  Of the offsets in one residue class mod (m_a), only the
+    componentwise-minimal ones are kept: a larger one gives a term that the
+    smaller one's term contains.  So no term is contained in another.
+    """
+    periods = {p for p in periods if any(p)}
+    unary: dict[int, int] = {}
+    for p in periods:
+        (i, x), *more = [(i, x) for i, x in enumerate(p) if x]
+        if not more:
+            unary[i] = min(unary.get(i, x), x)
+    # modulus one leaves a letter without a unary period at its base count
+    mods = tuple(unary.get(i, 1) for i in range(len(alphabet)))
+    selected = {tuple(m if j == i else 0 for j in range(len(mods))) for i, m in unary.items()}
+    classes = {tuple(y % m for y, m in zip(base, mods)): [tuple(base)]}
+    for v in sorted(periods - selected):
         order = reduce(math.lcm, (m // math.gcd(m, x) for m, x in zip(mods, v)), 1)
         folded: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         kept = 0
         for offsets in classes.values():
             for o in offsets:
-                for c in range(order):
-                    x = tuple(y + c * z for y, z in zip(o, v))
-                    residue = tuple(y % m for y, m in zip(x, mods))
+                x = o
+                for _ in range(order):
+                    residue = tuple(map(operator.mod, x, mods))
                     kept += _add_minimal(folded.setdefault(residue, []), x)
                     if kept > REPRESENTATION_OFFSET_GUARD:
                         raise SizeGuardError(
@@ -117,25 +129,25 @@ def build_representation(lang: FiniteLang) -> DplUnion:
                             limit=REPRESENTATION_OFFSET_GUARD,
                             observed=kept,
                         )
+                    x = tuple(map(operator.add, x, v))
         classes = folded
-    occurs = [a in selected for a in lang.alphabet]
-    terms = tuple(
+    periodic = [i in unary for i in range(len(mods))]
+    return tuple(
         DiagonalPeriodic(
-            lang.alphabet, tuple(Progression(y, m) if f else 0 for f, y, m in zip(occurs, o, mods))
+            alphabet, tuple(Progression(y, m) if f else y for f, y, m in zip(periodic, o, mods))
         )
         for offsets in classes.values()
         for o in offsets
     )
-    return DplUnion(lang.alphabet, terms)
 
 
 def _add_minimal(antichain: list[tuple[int, ...]], x: tuple[int, ...]) -> int:
     """Add x to a list of componentwise-incomparable vectors unless one of them
     lies below it, dropping those above it; returns the change in length."""
-    if any(all(y <= z for y, z in zip(k, x)) for k in antichain):
+    if any(all(map(operator.le, k, x)) for k in antichain):
         return 0
     before = len(antichain)
-    antichain[:] = [k for k in antichain if not all(z <= y for y, z in zip(k, x))]
+    antichain[:] = [k for k in antichain if not all(map(operator.ge, k, x))]
     antichain.append(x)
     return len(antichain) - before
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import time
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -216,6 +218,39 @@ def test_check_builds_the_parikh_image_once(capsys, monkeypatch):
     assert code == 0
     assert out.startswith("PASS")
     assert len(calls) == 1
+
+
+def test_check_folds_a_closure_once(capsys, monkeypatch):
+    # the fold runs once to find the closure not regular and once for the
+    # value's membership tests, not once per vector
+    calls = []
+    fold = aperiodic.fold_linear_sets
+    counted = lambda u: calls.append(u) or fold(u)
+    monkeypatch.setattr(aperiodic, "fold_linear_sets", counted)
+    monkeypatch.setattr(cli, "fold_linear_sets", counted)
+    code, out, _ = run(capsys, "check", "--alphabet", "abc", "--bound", "9", "sh*({ab,bc,aac})")
+    assert code == 0
+    assert out.startswith("PASS")
+    assert len(calls) <= 2
+
+
+def test_two_calls_build_one_parser(capsys, monkeypatch):
+    built = []
+
+    class Counted(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if kwargs.get("prog") == "comshuffle":
+                built.append(self)
+
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counted))
+    cli.build_parser.cache_clear()
+    try:
+        assert run(capsys, "member", "--alphabet", "ab", "aab", "F(a,1)")[:2] == (0, "true\n")
+        assert run(capsys, "member", "--alphabet", "ab", "b", "F(a,1)")[:2] == (0, "false\n")
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_closure_member_guard_exit_code(capsys, monkeypatch):

@@ -20,8 +20,9 @@ from comshuffle.dpl import (
     term_subset,
 )
 from comshuffle.progressions import Progression
-from comshuffle.regularity import FiniteLang, build_representation
-from comshuffle.words import Alphabet, parikh
+from comshuffle.oracle import VectorSet, closure_under_addition, dpl_enumerate
+from comshuffle.regularity import FiniteLang, build_representation, closure_terms
+from comshuffle.words import Alphabet, ParikhVector, parikh
 
 AB = Alphabet.of("ab")
 ABC = Alphabet.of("abc")
@@ -139,6 +140,41 @@ def test_representation_is_the_unpruned_loop_without_dominated_terms():
             got = build_representation(lang)
             assert_antichain(got)
             assert_equivalent(got, reference_representation(lang))
+
+
+def random_linear_set(rng: random.Random, alphabet: Alphabet, top: int):
+    """A recognizable b + ⟨P⟩ with a nonzero base: some letters get one or two
+    unary periods, the others none, and the non-unary periods use only the
+    first ones, so the others keep their base count."""
+    n = len(alphabet)
+    periodic = [i for i in range(n) if rng.random() < 0.7]
+    periods = [
+        tuple(rng.randint(1, top) if j == i else 0 for j in range(n))
+        for i in periodic
+        for _ in range(rng.randint(1, 2))
+    ]
+    for _ in range(rng.randint(0, 2) if periodic else 0):
+        periods.append(tuple(rng.randint(0, 2) if i in periodic else 0 for i in range(n)))
+    base = (0,) * n
+    while not any(base):
+        base = tuple(rng.randint(0, top) for _ in range(n))
+    return base, periods
+
+
+def test_closure_terms_are_the_shifted_closure_without_dominated_terms():
+    rng = random.Random(71)
+    for alphabet, bound in ((AB, 14), (AB, 14), (ABC, 9)):
+        for _ in range(15):
+            base, periods = random_linear_set(rng, alphabet, 3)
+            got = DplUnion(alphabet, closure_terms(alphabet, base, periods))
+            assert_antichain(got)
+            gens = VectorSet(alphabet, frozenset(ParikhVector(alphabet, p) for p in periods), bound)
+            shift = ParikhVector(alphabet, base)
+            expected = {
+                w for v in closure_under_addition(gens, bound).vectors
+                if (w := v + shift).total() <= bound
+            }
+            assert dpl_enumerate(got, bound).vectors == expected, (base, periods)
 
 
 def test_three_term_closure_compiles_and_minimizes_fast():

@@ -186,7 +186,7 @@ def test_point_terms_fold_to_at_most_one_more_linear_set():
         }
         cases.append(_points(ABC, sorted(words)))
     for u in cases:
-        assert len(aperiodic._fold(u)) <= len(u.terms) + 1, u
+        assert len(aperiodic.fold_linear_sets(u)) <= len(u.terms) + 1, u
 
 
 # union_iterated_shuffle of PROBE_UNION before points merged in the fold
