@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from typing import Optional, Union as TUnion
+from typing import Optional
 
 from .aperiodic import (
     fold_linear_sets, in_linear_sets, union_closure_member, union_iterated_shuffle
@@ -45,9 +45,9 @@ from .dpl import (
     dpl_project,
     dpl_shuffle,
     dpl_union,
-    dpl_union_member,
     dpl_union_to_dict,
     from_generators,
+    in_count_set,
 )
 from .errors import (
     ComshuffleError,
@@ -73,10 +73,11 @@ from .exprlang import (
     parse,
 )
 from .oracle import (
+    CLOSURE_MAX_BOUND,
     VectorSet,
     all_vectors,
     closure_under_addition,
-    sets_equal,
+    count_tuples,
     vector_sums,
 )
 from .regularity import FiniteLang
@@ -183,15 +184,18 @@ def _union_values(v1: Value, v2: Value) -> Value:
     return Value("dpl", dpl_union(*_both_unions("union", v1, v2)))
 
 
-def _member_word(v: Value, w: TUnion[str, ParikhVector]) -> bool:
-    """Membership of a word, or of a count vector in a commutative kind;
-    commutative kinds go through the Parikh vector."""
+def _member_counts(v: Value, counts: tuple[int, ...]) -> bool:
+    """Membership of a count vector in a commutative kind."""
+    if v.kind == "dpl":
+        return any(all(map(in_count_set, counts, t.sets)) for t in v.payload.terms)
+    return in_linear_sets(counts, v.linear_sets)
+
+
+def _member_word(v: Value, w: str) -> bool:
+    """Membership of a word; commutative kinds go through its Parikh vector."""
     if v.kind == "finite":
         return w in v.payload.words
-    vec = parikh(w, v.alphabet) if isinstance(w, str) else w
-    if v.kind == "dpl":
-        return dpl_union_member(vec, v.payload)
-    return in_linear_sets(vec.counts, v.linear_sets)
+    return _member_counts(v, parikh(w, v.alphabet).counts)
 
 
 def _intersect_values(v1: Value, v2: Value) -> Value:
@@ -437,24 +441,31 @@ def cmd_report(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """Compare the value with the brute-force oracle (`oracle_set`) on every
+    count vector of coordinate sum <= --bound; print PASS (exit 0), or FAIL at
+    the least differing vector by sum, then lexicographically (exit 5).
+
+    A negative bound is refused (exit 2), and one above
+    `oracle.CLOSURE_MAX_BOUND` trips the `check_bound` guard (exit 4) before
+    anything is enumerated.  A word set is compared by its Parikh image.
+    """
+    bound = args.bound
+    if bound < 0:
+        raise ValueError(f"--bound must be non-negative, got {bound}")
+    if bound > CLOSURE_MAX_BOUND:
+        raise SizeGuardError.over("check bound", "check_bound", CLOSURE_MAX_BOUND, bound)
     e, alphabet = _resolve(args)
     value = eval_expr(e, alphabet, args.guard_clauses)
-    bound = args.bound
     target = expr_alphabet(e, alphabet)
-    expected = VectorSet(target, oracle_set(e, alphabet, bound), bound)
+    expected = {v.counts for v in oracle_set(e, alphabet, bound)}
     if value.kind == "finite":
-        # the oracle gives a word set its Parikh image
         value = Value("dpl", value.points)
-    actual = VectorSet(
-        target,
-        frozenset(v for v in all_vectors(target, bound) if _member_word(value, v)),
-        bound,
-    )
-    ok, counterexample = sets_equal(expected, actual)
-    if ok:
+    actual = {c for c in count_tuples(len(target), bound) if _member_counts(value, c)}
+    if not (diff := expected ^ actual):
         print(f"PASS (bound {bound})")
         return 0
-    print(f"FAIL at {counterexample.as_dict()} (bound {bound})")
+    counterexample = min(diff, key=lambda c: (sum(c), c))
+    print(f"FAIL at {dict(zip(target.letters, counterexample))} (bound {bound})")
     return 5
 
 

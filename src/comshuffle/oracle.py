@@ -1,22 +1,34 @@
 """Brute-force ground truth on Parikh vectors.
 
 Every symbolic construction in the library is cross-checked against these
-enumerations in the test suite.  Oracles work on count vectors, not words,
-except for `word_language` which bridges to automata tests.
+enumerations, in the test suite and by `check`.  Oracles work on count
+vectors, not words, except for `word_language` which bridges to automata
+tests: it asks its predicate once per count vector and lists every
+arrangement of each accepted one.
+
+The public functions take and return `VectorSet`s of `ParikhVector`s.  Inside,
+the arithmetic runs on plain count tuples, each closure frontier entry
+carrying its coordinate sum, and a `ParikhVector` is built once per vector of
+a returned window.  Union membership is tested count by count with
+`dpl.in_count_set`; no symbolic construction of `dpl`, `aperiodic` or
+`regularity` is used.  Each enumeration sits behind a bound guard
+(`closure_bound`, `enumeration_bound`, `word_bound`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Iterable, Optional
+from operator import add
+from typing import Callable, Iterable, Iterator, Optional
 
-from .dpl import DplUnion, dpl_union_member
+from .dpl import DplUnion, in_count_set
 from .errors import SizeGuardError
-from .words import Alphabet, ParikhVector, parikh
+from .words import Alphabet, ParikhVector
 
 CLOSURE_MAX_BOUND = 60
 WORD_MAX_BOUND = 10
+
+Counts = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -32,15 +44,22 @@ class VectorSet:
             raise ValueError("vector exceeds the declared bound")
 
 
-def all_vectors(alphabet: Alphabet, bound: int) -> Iterable[ParikhVector]:
+def _window(alphabet: Alphabet, counts: Iterable[Counts], bound: int) -> VectorSet:
+    return VectorSet(alphabet, frozenset(ParikhVector(alphabet, c) for c in counts), bound)
+
+
+def count_tuples(k: int, bound: int) -> list[Counts]:
+    """Every k-tuple of counts with sum <= bound, in lexicographic order."""
+    tuples: list[Counts] = [()]
+    for _ in range(k):
+        tuples = [t + (n,) for t in tuples for n in range(bound - sum(t) + 1)]
+    return tuples
+
+
+def all_vectors(alphabet: Alphabet, bound: int) -> Iterator[ParikhVector]:
     """Every vector with coordinate sum <= bound."""
-    k = len(alphabet)
-    if k == 0:
-        yield ParikhVector(alphabet, ())
-        return
-    for counts in product(range(bound + 1), repeat=k):
-        if sum(counts) <= bound:
-            yield ParikhVector(alphabet, counts)
+    for counts in count_tuples(len(alphabet), bound):
+        yield ParikhVector(alphabet, counts)
 
 
 def closure_under_addition(base: VectorSet, bound: int) -> VectorSet:
@@ -51,37 +70,59 @@ def closure_under_addition(base: VectorSet, bound: int) -> VectorSet:
     """
     if bound > CLOSURE_MAX_BOUND:
         raise SizeGuardError.over("closure bound", "closure_bound", CLOSURE_MAX_BOUND, bound)
-    zero = ParikhVector.zero(base.alphabet)
-    gens = [v for v in base.vectors if v.total() <= bound and v != zero]
+    gens = [(v.counts, n) for v in base.vectors if 0 < (n := v.total()) <= bound]
+    zero = (0,) * len(base.alphabet)
     reached = {zero}
-    frontier = [zero]
+    frontier = [(zero, 0)]
     while frontier:
-        v = frontier.pop()
-        for g in gens:
-            w = v + g
-            if w.total() <= bound and w not in reached:
+        v, n = frontier.pop()
+        for g, m in gens:
+            if n + m <= bound and (w := tuple(map(add, v, g))) not in reached:
                 reached.add(w)
-                frontier.append(w)
-    return VectorSet(base.alphabet, frozenset(reached), bound)
+                frontier.append((w, n + m))
+    return _window(base.alphabet, reached, bound)
 
 
 def vector_sums(x: VectorSet, y: VectorSet, bound: int) -> VectorSet:
     """Pairwise sums within bound: the Parikh semantics of the binary shuffle."""
+    if x.alphabet != y.alphabet:
+        raise ValueError("alphabet mismatch")
+    ys = [(b.counts, b.total()) for b in y.vectors]
     sums = {
-        a + b for a in x.vectors for b in y.vectors if (a + b).total() <= bound
+        tuple(map(add, a.counts, b))
+        for a in x.vectors
+        if (n := a.total()) <= bound
+        for b, m in ys
+        if n + m <= bound
     }
-    return VectorSet(x.alphabet, frozenset(sums), bound)
+    return _window(x.alphabet, sums, bound)
+
+
+def _enumeration_guard(bound: int) -> None:
+    if bound > CLOSURE_MAX_BOUND:
+        raise SizeGuardError.over("enumeration", "enumeration_bound", CLOSURE_MAX_BOUND, bound)
 
 
 def dpl_enumerate(u: DplUnion, bound: int) -> VectorSet:
-    return predicate_enumerate(lambda v: dpl_union_member(v, u), u.alphabet, bound)
+    """The vectors of the union within bound: each count tuple is tested
+    against every term's count sets."""
+    _enumeration_guard(bound)
+    terms = [t.sets for t in u.terms]
+    return _window(
+        u.alphabet,
+        (
+            c
+            for c in count_tuples(len(u.alphabet), bound)
+            if any(all(map(in_count_set, c, sets)) for sets in terms)
+        ),
+        bound,
+    )
 
 
 def predicate_enumerate(
     member: Callable[[ParikhVector], bool], alphabet: Alphabet, bound: int
 ) -> VectorSet:
-    if bound > CLOSURE_MAX_BOUND:
-        raise SizeGuardError.over("enumeration", "enumeration_bound", CLOSURE_MAX_BOUND, bound)
+    _enumeration_guard(bound)
     vs = frozenset(v for v in all_vectors(alphabet, bound) if member(v))
     return VectorSet(alphabet, vs, bound)
 
@@ -96,19 +137,30 @@ def sets_equal(x: VectorSet, y: VectorSet) -> tuple[bool, Optional[ParikhVector]
     return False, min(diff, key=lambda v: (v.total(), v.counts))
 
 
+def _arrangements(letters: tuple[str, ...], counts: Counts) -> list[str]:
+    """Every word with counts[i] copies of letters[i]."""
+    words = [""]
+    for _ in range(sum(counts)):
+        words = [w + a for w in words for a, n in zip(letters, counts) if w.count(a) < n]
+    return words
+
+
 def word_language(
     member: Callable[[ParikhVector], bool], alphabet: Alphabet, bound: int
 ) -> tuple[str, ...]:
-    """All words of length <= bound whose Parikh vector is accepted.
+    """All words of length <= bound whose Parikh vector is accepted, by
+    length and then lexicographically in alphabet order.
 
-    Commutative semantics: membership depends only on the count vector.
+    Commutative semantics: membership depends only on the count vector, so
+    `member` is asked once per vector.
     """
     if bound > WORD_MAX_BOUND:
         raise SizeGuardError.over("word bound", "word_bound", WORD_MAX_BOUND, bound)
-    out = []
-    for n in range(bound + 1):
-        for tup in product(alphabet.letters, repeat=n):
-            w = "".join(tup)
-            if member(parikh(w, alphabet)):
-                out.append(w)
-    return tuple(out)
+    rank = {ord(a): i for i, a in enumerate(alphabet.letters)}
+    words = [
+        w
+        for v in all_vectors(alphabet, bound)
+        if member(v)
+        for w in _arrangements(alphabet.letters, v.counts)
+    ]
+    return tuple(sorted(words, key=lambda w: (len(w), w.translate(rank))))

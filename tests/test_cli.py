@@ -185,6 +185,37 @@ def test_check_projection(capsys):
     assert out.startswith("PASS")
 
 
+def test_check_refuses_a_negative_bound(capsys):
+    code, out, err = run(capsys, "check", "--alphabet", "ab", "--bound", "-1", "F(a,1)")
+    assert code == 2
+    assert out == ""
+    assert "--bound must be non-negative" in err
+
+
+def test_check_bound_guard_fires_before_any_enumeration(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated past the check bound guard")
+
+    monkeypatch.setattr(cli, "oracle_set", refuse)
+    monkeypatch.setattr(cli, "count_tuples", refuse)
+    code, out, err = run(capsys, "check", "--alphabet", "abc", "--bound", "300", "F(a,1)")
+    assert code == 4
+    assert out == ""
+    assert "check bound guard exceeded: 300 > 60" in err
+
+
+def test_check_fails_at_the_least_differing_vector(capsys, monkeypatch):
+    # an oracle missing aab, aaa and aaaab: the least by sum, then
+    # lexicographically, is aab
+    ab = Alphabet.of("ab")
+    oracle_set = cli.oracle_set
+    missing = {parikh(w, ab) for w in ("aaaab", "aaa", "aab")}
+    monkeypatch.setattr(cli, "oracle_set", lambda *args: oracle_set(*args) - missing)
+    code, out, _ = run(capsys, "check", "--alphabet", "ab", "--bound", "6", "F(a,1)")
+    assert code == 5
+    assert out.strip() == "FAIL at {'a': 2, 'b': 1} (bound 6)"
+
+
 def test_syntax_error_exit_code(capsys):
     code, _, err = run(capsys, "member", "--alphabet", "ab", "a", "perm(")
     assert code == 2

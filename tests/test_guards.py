@@ -30,6 +30,14 @@ CASES = [
     ("nerode_bound", lambda: regularity.nerode_evidence(lambda w: True, AB, 13), 12, 13),
     ("perm_length", lambda: words.perm_set("a" * 13), 12, 13),
     ("perm_words", lambda: words.perm_set("aabbccddeeff"), 50_000, 7_484_400),
+    (
+        "check_bound",
+        lambda: cli.cmd_check(
+            cli.build_parser().parse_args(["check", "--alphabet", "abc", "--bound", "300", "F(a,1)"])
+        ),
+        60,
+        300,
+    ),
 ]
 
 
