@@ -3,8 +3,10 @@
 Compilation of diagonal periodic unions to automata, the commutativity,
 aperiodicity and permutation predicates, minimization, the projection
 construction for commutative machines, and a verification-gated extraction
-back to normal form.  Automata may be incomplete: a missing transition
-encodes an exact-zero letter and behaves as an implicit reject.
+back to normal form.  A DFA is stored as one transition row per letter; the
+sorted `(state, letter, next)` triples of the JSON and DOT output are derived
+from the rows.  Automata may be incomplete: a missing transition encodes an
+exact-zero letter and behaves as an implicit reject.
 """
 
 from __future__ import annotations
@@ -22,34 +24,40 @@ from .words import Alphabet
 STATE_GUARD_DEFAULT = 250_000
 EXTRACT_GRID_GUARD = 100_000
 
+Row = tuple[Optional[int], ...]
+
 
 @dataclass(frozen=True)
 class Dfa:
+    """`rows[i][q]` is the successor of state q on the i-th letter, None
+    where the transition is missing; `delta` derives the triples of the JSON
+    and DOT output from them.  Rows are built as `tuple([...])`: built from
+    generators, they raised the automata bench's peak RSS by 8%."""
+
     alphabet: Alphabet
     n_states: int
     start: int
     finals: frozenset[int]
-    delta: tuple[tuple[int, str, int], ...]
-    # letter -> next state of each state, None where the transition is missing
-    table: dict[str, tuple[Optional[int], ...]] = field(
-        init=False, compare=False, repr=False
-    )
+    rows: tuple[Row, ...]
+    # letter -> row, a view of `rows` for reading words
+    table: dict[str, Row] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not 0 <= self.start < self.n_states:
+        n = self.n_states
+        if not 0 <= self.start < n:
             raise ValueError("start state out of range")
-        rows = {a: [None] * self.n_states for a in self.alphabet}
-        for q, a, r in self.delta:
-            if not (0 <= q < self.n_states and 0 <= r < self.n_states):
-                raise ValueError("transition endpoint out of range")
-            if a not in rows:
-                raise ValueError(f"transition letter {a!r} outside alphabet")
-            if rows[a][q] is not None:
-                raise ValueError(f"duplicate transition on ({q}, {a!r})")
-            rows[a][q] = r
-        if not self.finals <= set(range(self.n_states)):
+        targets = set(range(n))
+        if not self.finals <= targets:
             raise ValueError("final state out of range")
-        object.__setattr__(self, "table", {a: tuple(row) for a, row in rows.items()})
+        if len(self.rows) != len(self.alphabet):
+            raise ValueError("one transition row per letter expected")
+        targets.add(None)
+        for row in self.rows:
+            if len(row) != n:
+                raise ValueError(f"transition row of length {len(row)}, expected {n}")
+            if not targets.issuperset(row):
+                raise ValueError("transition endpoint out of range")
+        object.__setattr__(self, "table", dict(zip(self.alphabet.letters, self.rows)))
 
     @classmethod
     def make(
@@ -60,8 +68,23 @@ class Dfa:
         finals: Iterable[int],
         delta: Mapping[tuple[int, str], int],
     ) -> "Dfa":
-        triples = tuple(sorted((q, a, r) for (q, a), r in delta.items()))
-        return cls(alphabet, n_states, start, frozenset(finals), triples)
+        """The DFA of a `(state, letter) -> next` mapping, for input from
+        outside; an absent key is a missing transition."""
+        rows = {a: [None] * n_states for a in alphabet}
+        for (q, a), r in delta.items():
+            if a not in rows:
+                raise ValueError(f"transition letter {a!r} outside alphabet")
+            if not 0 <= q < n_states:  # a negative q would index from the end
+                raise ValueError("transition endpoint out of range")
+            rows[a][q] = r
+        return cls(alphabet, n_states, start, frozenset(finals),
+                   tuple([tuple(row) for row in rows.values()]))
+
+    @property
+    def delta(self) -> tuple[tuple[int, str, int], ...]:
+        """The transitions as sorted `(state, letter, next)` triples."""
+        return tuple(sorted([(q, a, r) for a, row in self.table.items()
+                             for q, r in enumerate(row) if r is not None]))
 
     def run(self, w: str) -> Optional[int]:
         q: Optional[int] = self.start
@@ -79,7 +102,7 @@ class Dfa:
         return self.run(w) in self.finals
 
     def is_complete(self) -> bool:
-        return all(None not in row for row in self.table.values())
+        return all(None not in row for row in self.rows)
 
 
 def complete(d: Dfa) -> Dfa:
@@ -87,28 +110,21 @@ def complete(d: Dfa) -> Dfa:
     if d.is_complete():
         return d
     sink = d.n_states
-    delta = {
-        (q, a): sink if r is None else r
-        for a, row in d.table.items()
-        for q, r in enumerate(row + (sink,))
-    }
-    return Dfa.make(d.alphabet, d.n_states + 1, d.start, d.finals, delta)
+    rows = tuple([
+        tuple([sink if r is None else r for r in row]) + (sink,) for row in d.rows
+    ])
+    return Dfa(d.alphabet, sink + 1, d.start, d.finals, rows)
 
 
 def is_commutative(d: Dfa) -> bool:
     """δ(q, ab) = δ(q, ba) for all states and letter pairs; an undefined
     composite on both sides counts as equal."""
-    rows = [d.table[a] for a in d.alphabet]
-    for i, fa in enumerate(rows):
-        for fb in rows[i + 1 :]:
+    for i, fa in enumerate(d.rows):
+        for fb in d.rows[i + 1 :]:
             for x, y in zip(fa, fb):
                 if (None if x is None else fb[x]) != (None if y is None else fa[y]):
                     return False
     return True
-
-
-def _letter_maps(d: Dfa) -> dict[str, tuple[int, ...]]:
-    return complete(d).table
 
 
 def _rho(f: tuple[int, ...]) -> tuple[int, int]:
@@ -145,13 +161,11 @@ def is_aperiodic(d: Dfa) -> bool:
     where aperiodicity reduces to the letter actions."""
     if not is_commutative(d):
         raise CriterionError("aperiodicity check requires a commutative automaton")
-    return all(cycle == 1 for _, cycle in map(_rho, _letter_maps(d).values()))
+    return all(cycle == 1 for _, cycle in map(_rho, complete(d).rows))
 
 
 def is_permutation(d: Dfa) -> bool:
-    return all(
-        None not in row and len(set(row)) == d.n_states for row in d.table.values()
-    )
+    return all(None not in row and len(set(row)) == d.n_states for row in d.rows)
 
 
 @dataclass(frozen=True)
@@ -215,9 +229,9 @@ def dpl_to_dfa(u: DplUnion, guard: int = STATE_GUARD_DEFAULT) -> Dfa:
     start = tuple((0,) * len(u.alphabet) for _ in sets)
     number: dict[tuple, int] = {start: 0}
     order = [start]
-    delta: dict[tuple[int, str], int] = {}
+    rows: list[list[int]] = [[] for _ in u.alphabet]
     for state in order:
-        for i, a in enumerate(u.alphabet):
+        for i, row in enumerate(rows):
             nxt = tuple(_term_step(c, s, i) for c, s in zip(sets, state))
             if nxt not in number:
                 if len(number) >= guard:
@@ -229,54 +243,42 @@ def dpl_to_dfa(u: DplUnion, guard: int = STATE_GUARD_DEFAULT) -> Dfa:
                     )
                 number[nxt] = len(number)
                 order.append(nxt)
-            delta[(number[state], a)] = number[nxt]
-    finals = {
+            row.append(number[nxt])
+    finals = frozenset([
         number[state]
         for state in order
         if any(
             s is not None and all(map(in_count_set, s, c)) for c, s in zip(sets, state)
         )
-    }
-    return Dfa.make(u.alphabet, len(number), 0, finals, delta)
+    ])
+    return Dfa(u.alphabet, len(order), 0, finals, tuple([tuple(row) for row in rows]))
 
 
 def minimize(d: Dfa) -> Dfa:
-    """Minimal complete DFA: complete with a sink, drop unreachable states,
-    merge Nerode-equivalent states by Hopcroft's partition refinement, and
-    renumber in BFS order from the start state."""
+    """Minimal complete DFA: complete with a sink, merge Nerode-equivalent
+    states by Hopcroft's partition refinement, and renumber the blocks in
+    BFS order from the start state, which reaches only reachable blocks."""
     c = complete(d)
-    rows = [c.table[a] for a in c.alphabet]
-    reachable = [c.start]
-    seen = {c.start}
-    for q in reachable:
-        for row in rows:
-            r = row[q]
-            if r not in seen:
-                seen.add(r)
-                reachable.append(r)
-
-    block_of = _hopcroft(c, reachable)
+    block_of = _hopcroft(c)
     number = {block_of[c.start]: 0}
     representative = [c.start]
     for q in representative:
-        for row in rows:
-            r = row[q]
-            if block_of[r] not in number:
-                number[block_of[r]] = len(number)
-                representative.append(r)
-    delta = {
-        (i, a): number[block_of[row[q]]]
-        for i, q in enumerate(representative)
-        for a, row in zip(c.alphabet, rows)
-    }
-    finals = {number[block_of[q]] for q in reachable if q in c.finals}
-    return Dfa.make(c.alphabet, len(number), 0, finals, delta)
+        for row in c.rows:
+            b = block_of[row[q]]
+            if b not in number:
+                number[b] = len(number)
+                representative.append(row[q])
+    rows = tuple([
+        tuple([number[block_of[row[q]]] for q in representative]) for row in c.rows
+    ])
+    finals = frozenset([i for i, q in enumerate(representative) if q in c.finals])
+    return Dfa(c.alphabet, len(representative), 0, finals, rows)
 
 
-def _hopcroft(c: Dfa, states: list[int]) -> dict[int, int]:
-    """Block index of each of `states`, a transition-closed set of the
-    complete DFA `c`, under the coarsest partition that separates finals
-    from non-finals and is stable under every letter (Hopcroft 1971).
+def _hopcroft(c: Dfa) -> list[int]:
+    """Block index of each state of the complete DFA `c` under the coarsest
+    partition that separates finals from non-finals and is stable under
+    every letter (Hopcroft 1971).
 
     A splitter (block, letter) cuts every block into the states that the
     letter maps into the block and the rest.  Of the two halves of a split,
@@ -284,15 +286,15 @@ def _hopcroft(c: Dfa, states: list[int]) -> dict[int, int]:
     waiting, which bounds the work by O(n |Σ| log n).
     """
     inverse = []
-    for row in c.table.values():
+    for row in c.rows:
         pre: list[list[int]] = [[] for _ in row]
-        for q in states:
-            pre[row[q]].append(q)
+        for q, r in enumerate(row):
+            pre[r].append(q)
         inverse.append(pre)
 
-    finals = {q for q in states if q in c.finals}
-    blocks = [b for b in (finals, set(states) - finals) if b]
-    block_of = {q: i for i, b in enumerate(blocks) for q in b}
+    finals = set(c.finals)
+    blocks = [b for b in (finals, set(range(c.n_states)) - finals) if b]
+    block_of = [0 if q in finals else len(blocks) - 1 for q in range(c.n_states)]
     letters = range(len(inverse))
     waiting = set()
     if len(blocks) == 2:
@@ -350,18 +352,16 @@ def project_automaton(d: Dfa, keep: Iterable[str]) -> Dfa:
 
     number = {d.start: 0}
     order = [d.start]
-    delta: dict[tuple[int, str], int] = {}
+    kept = [(d.table[a], []) for a in sub]
     for q in order:
-        for a in sub:
-            r = d.table[a][q]
-            if r is None:
-                continue
-            if r not in number:
+        for row, out in kept:
+            r = row[q]
+            if r is not None and r not in number:
                 number[r] = len(number)
                 order.append(r)
-            delta[(number[q], a)] = number[r]
-    finals = {number[q] for q in order if q in can_finish}
-    return Dfa.make(sub, len(order), 0, finals, delta)
+            out.append(None if r is None else number[r])
+    finals = frozenset([number[q] for q in order if q in can_finish])
+    return Dfa(sub, len(order), 0, finals, tuple([tuple(out) for _, out in kept]))
 
 
 def equivalence_witness(d1: Dfa, d2: Dfa) -> Optional[str]:
@@ -427,8 +427,7 @@ def dfa_to_dpl(d: Dfa) -> DplUnion:
     if not is_commutative(d):
         raise CriterionError("extraction requires a commutative automaton")
     m = minimize(d)
-    maps = _letter_maps(m)
-    reps = {a: _rho(maps[a]) for a in m.alphabet}
+    reps = {a: _rho(row) for a, row in m.table.items()}
     accepted = _accepted_rep(m, reps)
 
     grid = [range(sum(reps[a])) for a in m.alphabet]

@@ -63,11 +63,9 @@ from .exprlang import (
     InvProject,
     IterShuffle,
     Perm,
-    Plus,
     Project,
     SetLit,
     ShuffleE,
-    Star,
     UnionE,
     WordLit,
     parse,
@@ -240,12 +238,8 @@ def eval_expr(e: Expr, alphabet: Alphabet, clause_guard: int = DEFAULT_CLAUSE_GU
         return Value("finite", FiniteLang.of(alphabet, e.words))
     if isinstance(e, Perm):
         return Value("finite", FiniteLang.of(alphabet, perm_set(e.word)))
-    if isinstance(e, (Fcount, Fmod)):
+    if isinstance(e, (Fcount, Fmod, GammaStar, GammaPlus)):
         return Value("dpl", from_generators(e, alphabet, clause_guard))
-    if isinstance(e, Star):
-        return Value("dpl", from_generators(GammaStar(e.letters), alphabet, clause_guard))
-    if isinstance(e, Plus):
-        return Value("dpl", from_generators(GammaPlus(e.letters), alphabet, clause_guard))
     if type(e) in _BINARY:
         op, combine = _BINARY[type(e)]
         vals = [eval_expr(p, alphabet, clause_guard) for p in e.parts]
@@ -305,9 +299,9 @@ def oracle_set(e: Expr, alphabet: Alphabet, bound: int) -> frozenset[ParikhVecto
         return frozenset(
             v for v in all_vectors(alphabet, bound) if v[e.letter] % e.modulus == e.residue
         )
-    if isinstance(e, Star):
+    if isinstance(e, GammaStar):
         return frozenset(v for v in all_vectors(alphabet, bound) if v.support() <= e.letters)
-    if isinstance(e, Plus):
+    if isinstance(e, GammaPlus):
         return frozenset(
             v
             for v in all_vectors(alphabet, bound)
@@ -319,10 +313,12 @@ def oracle_set(e: Expr, alphabet: Alphabet, bound: int) -> frozenset[ParikhVecto
         sets = [oracle_set(p, alphabet, bound) for p in e.parts]
         return frozenset(reduce(lambda x, y: x & y, sets))
     if isinstance(e, ShuffleE):
-        sets = [VectorSet(alphabet, oracle_set(p, alphabet, bound), bound) for p in e.parts]
+        target = expr_alphabet(e, alphabet)
+        sets = [VectorSet(target, oracle_set(p, alphabet, bound), bound) for p in e.parts]
         return reduce(lambda x, y: vector_sums(x, y, bound), sets).vectors
     if isinstance(e, IterShuffle):
-        base = VectorSet(alphabet, oracle_set(e.child, alphabet, bound), bound)
+        target = expr_alphabet(e, alphabet)
+        base = VectorSet(target, oracle_set(e.child, alphabet, bound), bound)
         return closure_under_addition(base, bound).vectors
     if isinstance(e, Project):
         # a short projected vector may only arise from a longer child vector;
@@ -399,9 +395,13 @@ def cmd_member(args) -> int:
         if a not in alphabet:
             raise ParseError(f"unknown letter {a!r} in word")
     value = eval_expr(e, alphabet, args.guard_clauses)
-    if value.kind == "closure":
+    if not set(args.word) <= set(value.alphabet):
+        # a projection's value lacks some session letters: no word using one
+        # of them is a member
+        found = False
+    elif value.kind == "closure":
         # one question: the fold and its test in one call, nothing kept
-        found = union_closure_member(parikh(args.word, alphabet), value.payload)
+        found = union_closure_member(parikh(args.word, value.alphabet), value.payload)
     else:
         found = _member_word(value, args.word)
     print("true" if found else "false")

@@ -18,7 +18,8 @@ Grammar, with precedence & (intersection) over <> (shuffle) over | (union):
 
 A brace group followed by '*' or '+' must list single letters and denotes Γ*
 or Γ+; otherwise it is a finite set of words.  '<>' is the ASCII stand-in for
-the shuffle product.
+the shuffle product.  Every letter is checked against the alphabet as it is
+read, and an unknown one is reported at its position.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union as TUnion
 
-from .dpl import Fcount, Fmod
+from .dpl import Fcount, Fmod, GammaPlus, GammaStar
 from .errors import ParseError
 from .words import Alphabet
 
@@ -44,16 +45,6 @@ class SetLit:
 @dataclass(frozen=True)
 class Perm:
     word: str
-
-
-@dataclass(frozen=True)
-class Star:
-    letters: frozenset[str]
-
-
-@dataclass(frozen=True)
-class Plus:
-    letters: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -88,7 +79,7 @@ class InvProject:
 
 
 Expr = TUnion[
-    WordLit, SetLit, Perm, Fcount, Fmod, Star, Plus,
+    WordLit, SetLit, Perm, Fcount, Fmod, GammaStar, GammaPlus,
     UnionE, IntersectE, ShuffleE, IterShuffle, Project, InvProject,
 ]
 
@@ -143,6 +134,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.length = length
+        self.alphabet: Optional[Alphabet] = None
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -161,6 +153,14 @@ class _Parser:
             got = repr(t.value) if t else "end of input"
             raise ParseError(f"expected {kind!r}, got {got}", where)
         self.i += 1
+        return t
+
+    def word(self) -> _Token:
+        """The next identifier, whose letters must lie in the alphabet."""
+        t = self.expect("IDENT")
+        for k, a in enumerate(t.value):
+            if a not in self.alphabet:
+                raise ParseError(f"unknown letter {a!r}", t.pos + k)
         return t
 
     def expr(self) -> Expr:
@@ -189,7 +189,7 @@ class _Parser:
         words = []
         if (t := self.peek()) and t.kind != "}":
             while True:
-                words.append(self.expect("IDENT").value)
+                words.append(self.word().value)
                 if (t := self.peek()) and t.kind == ",":
                     self.next()
                 else:
@@ -219,17 +219,17 @@ class _Parser:
             nxt = self.peek()
             if nxt and nxt.kind == "*":
                 self.next()
-                return Star(self._letterset(words, pos))
+                return GammaStar(self._letterset(words, pos))
             if nxt and nxt.kind == "+":
                 self.next()
-                return Plus(self._letterset(words, pos))
+                return GammaPlus(self._letterset(words, pos))
             return SetLit(words)
         if t.kind == "IDENT":
             name = t.value
             if name == "perm":
                 self.next()
                 self.expect("(")
-                w = self.expect("IDENT").value
+                w = self.word().value
                 self.expect(")")
                 return Perm(w)
             if name == "sh":
@@ -256,7 +256,7 @@ class _Parser:
             if name == "F":
                 self.next()
                 self.expect("(")
-                letter_tok = self.expect("IDENT")
+                letter_tok = self.word()
                 if len(letter_tok.value) != 1:
                     raise ParseError("F expects a single letter", letter_tok.pos)
                 self.expect(",")
@@ -276,8 +276,7 @@ class _Parser:
                     "alphabet declaration must come first, as 'alphabet <letters>;'",
                     t.pos,
                 )
-            self.next()
-            return WordLit(name)
+            return WordLit(self.word().value)
         raise ParseError(f"unexpected token {t.value!r}", t.pos)
 
 
@@ -297,38 +296,8 @@ def parse(text: str, alphabet: Optional[Alphabet] = None) -> tuple[Expr, Alphabe
         alphabet = Alphabet.of(letters_tok.value)
     if alphabet is None:
         raise ParseError("no alphabet declared; use --alphabet or 'alphabet <letters>;'")
+    p.alphabet = alphabet
     e = p.expr()
     if (t := p.peek()) is not None:
         raise ParseError(f"trailing input {t.value!r}", t.pos)
-    _validate(e, alphabet)
     return e, alphabet
-
-
-def _check_letters(letters, alphabet: Alphabet):
-    for a in letters:
-        if a not in alphabet:
-            raise ParseError(f"unknown letter {a!r}")
-
-
-def _validate(e: Expr, alphabet: Alphabet):
-    if isinstance(e, (WordLit, Perm)):
-        _check_letters(e.word, alphabet)
-    elif isinstance(e, SetLit):
-        for w in e.words:
-            _check_letters(w, alphabet)
-    elif isinstance(e, (Fcount, Fmod)):
-        _check_letters(e.letter, alphabet)
-    elif isinstance(e, (Star, Plus)):
-        _check_letters(e.letters, alphabet)
-    elif isinstance(e, (UnionE, IntersectE, ShuffleE)):
-        for part in e.parts:
-            _validate(part, alphabet)
-    elif isinstance(e, IterShuffle):
-        _validate(e.child, alphabet)
-    elif isinstance(e, InvProject):
-        _validate(e.child, alphabet)
-    elif isinstance(e, Project):
-        _check_letters(e.letters, alphabet)
-        _validate(e.child, alphabet)
-    else:
-        raise TypeError(f"unknown expression node: {e!r}")

@@ -12,11 +12,13 @@ carrying its coordinate sum, and a `ParikhVector` is built once per vector of
 a returned window.  Union membership is tested count by count with
 `dpl.in_count_set`; no symbolic construction of `dpl`, `aperiodic` or
 `regularity` is used.  Each enumeration sits behind a bound guard
-(`closure_bound`, `enumeration_bound`, `word_bound`).
+(`closure_bound`, `enumeration_bound`, `word_bound`), and every listing of
+count tuples behind a guard on their number (`enumeration_vectors`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import add
 from typing import Callable, Iterable, Iterator, Optional
@@ -27,6 +29,7 @@ from .words import Alphabet, ParikhVector
 
 CLOSURE_MAX_BOUND = 60
 WORD_MAX_BOUND = 10
+ENUMERATION_MAX_VECTORS = 250_000
 
 Counts = tuple[int, ...]
 
@@ -49,7 +52,12 @@ def _window(alphabet: Alphabet, counts: Iterable[Counts], bound: int) -> VectorS
 
 
 def count_tuples(k: int, bound: int) -> list[Counts]:
-    """Every k-tuple of counts with sum <= bound, in lexicographic order."""
+    """Every k-tuple of counts with sum <= bound, in lexicographic order;
+    there are C(bound + k, k) of them."""
+    if (size := math.comb(max(bound, 0) + k, k)) > ENUMERATION_MAX_VECTORS:
+        raise SizeGuardError.over(
+            "enumeration size", "enumeration_vectors", ENUMERATION_MAX_VECTORS, size
+        )
     tuples: list[Counts] = [()]
     for _ in range(k):
         tuples = [t + (n,) for t in tuples for n in range(bound - sum(t) + 1)]

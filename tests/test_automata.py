@@ -92,6 +92,34 @@ def test_dfa_validates_transitions():
         Dfa.make(AB, 1, 0, [0], {(0, "c"): 0})
 
 
+@pytest.mark.parametrize("source", [-1, 2])
+def test_make_rejects_a_source_state_out_of_range(source):
+    # a negative source would otherwise index a row from its end
+    with pytest.raises(ValueError, match="endpoint out of range"):
+        Dfa.make(AB, 2, 0, [0], {(source, "a"): 0})
+
+
+def test_dfa_rejects_a_short_row():
+    with pytest.raises(ValueError, match="row of length 1, expected 2"):
+        Dfa(AB, 2, 0, frozenset(), ((0, 1), (0,)))
+
+
+@pytest.mark.parametrize("letters", ["ab", "ba"])
+def test_make_stores_rows_that_give_back_its_triples(letters):
+    # the triples sort lexicographically, not in alphabet order
+    alphabet = Alphabet.of(letters)
+    rng = random.Random(53)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        delta = {
+            (q, a): rng.randrange(n) for q in range(n) for a in letters if rng.random() < 0.8
+        }
+        d = Dfa.make(alphabet, n, rng.randrange(n), rng.sample(range(n), rng.randint(0, n)),
+                     delta)
+        assert d.delta == tuple(sorted((q, a, r) for (q, a), r in delta.items()))
+        assert dfa_from_dict(dfa_to_dict(d)) == d
+
+
 def test_is_commutative():
     assert is_commutative(even_a_dfa())
     swap = Dfa.make(

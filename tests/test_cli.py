@@ -134,6 +134,29 @@ def test_dfa_prints_pinned_bytes(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["dfa", "--minimize"],
+     '{"alphabet": ["a", "b"], "delta": [[0, "a", 1], [0, "b", 2], [1, "a", 0], '
+     '[1, "b", 3], [2, "a", 3], [2, "b", 4], [3, "a", 2], [3, "b", 4], [4, "a", 4], '
+     '[4, "b", 4]], "finals": [1, 3, 4], "start": 0, "states": 5}\n'),
+    (["dfa", "--minimize", "--dot"],
+     'digraph dfa {\n  rankdir=LR;\n  start [shape=point, label=""];\n'
+     '  q0 [shape=circle, label="0"];\n  q1 [shape=doublecircle, label="1"];\n'
+     '  q2 [shape=circle, label="2"];\n  q3 [shape=doublecircle, label="3"];\n'
+     '  q4 [shape=doublecircle, label="4"];\n  start -> q0;\n'
+     '  q0 -> q1 [label="a"];\n  q0 -> q2 [label="b"];\n  q1 -> q0 [label="a"];\n'
+     '  q1 -> q3 [label="b"];\n  q2 -> q3 [label="a"];\n  q2 -> q4 [label="b"];\n'
+     '  q3 -> q2 [label="a"];\n  q3 -> q4 [label="b"];\n  q4 -> q4 [label="a,b"];\n}\n'),
+    (["report"],
+     '{"aperiodic": false, "commutative": true, "complete": true, '
+     '"permutation": false, "stateCount": 5}\n'),
+])
+def test_minimal_automaton_prints_pinned_bytes(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv, "--alphabet", "ab", "F(a,1,2) | F(b,2)")
+    assert code == 0
+    assert out == expected
+
+
 def test_dfa_dot(capsys):
     code, out, _ = run(capsys, "dfa", "--alphabet", "ab", "--dot", "F(a,1)")
     assert code == 0
@@ -185,6 +208,17 @@ def test_check_projection(capsys):
     assert out.startswith("PASS")
 
 
+@pytest.mark.parametrize("expr", [
+    "sh*(project(perm(ab) | perm(c), {a,b}))",
+    "project(perm(ab), {a,b}) <> project(F(a,1), {a,b})",
+])
+def test_check_a_shuffle_over_a_projected_alphabet(capsys, expr):
+    # the oracle sums vectors over the operands' alphabet {a, b}, not abc
+    code, out, _ = run(capsys, "check", "--alphabet", "abc", "--bound", "8", expr)
+    assert code == 0
+    assert out.strip() == "PASS (bound 8)"
+
+
 def test_check_refuses_a_negative_bound(capsys):
     code, out, err = run(capsys, "check", "--alphabet", "ab", "--bound", "-1", "F(a,1)")
     assert code == 2
@@ -204,6 +238,16 @@ def test_check_bound_guard_fires_before_any_enumeration(capsys, monkeypatch):
     assert "check bound guard exceeded: 300 > 60" in err
 
 
+def test_check_enumeration_guard_answers_quickly(capsys):
+    # C(65, 5) = 8,259,888 count vectors over five letters within bound 60
+    began = time.perf_counter()
+    code, out, err = run(capsys, "check", "--alphabet", "abcde", "--bound", "60", "F(a,1)")
+    assert time.perf_counter() - began < 1
+    assert code == 4
+    assert out == ""
+    assert "enumeration size guard exceeded: 8259888 > 250000" in err
+
+
 def test_check_fails_at_the_least_differing_vector(capsys, monkeypatch):
     # an oracle missing aab, aaa and aaaab: the least by sum, then
     # lexicographically, is aab
@@ -220,6 +264,23 @@ def test_syntax_error_exit_code(capsys):
     code, _, err = run(capsys, "member", "--alphabet", "ab", "a", "perm(")
     assert code == 2
     assert "syntax error" in err
+
+
+@pytest.mark.parametrize("expr", ["project(F(a,1),{a})", "project(perm(ab),{a})"])
+def test_member_with_a_letter_the_projection_dropped(capsys, expr):
+    code, out, _ = run(capsys, "member", "--alphabet", "ab", "ab", expr)
+    assert code == 0
+    assert out.strip() == "false"
+
+
+@pytest.mark.parametrize("word, expected", [("abab", "true"), ("abcab", "false")])
+def test_member_of_a_closure_of_a_projection(capsys, word, expected):
+    # the closure of {ab, ε} over {a, b} has no normal form; its alphabet
+    # lacks the session letter c
+    expr = "sh*(project(perm(ab) | perm(c), {a,b}))"
+    code, out, _ = run(capsys, "member", "--alphabet", "abc", word, expr)
+    assert code == 0
+    assert out.strip() == expected
 
 
 def test_unknown_letter_exit_code(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from comshuffle.dpl import Fcount, Fmod
+from comshuffle.dpl import Fcount, Fmod, GammaStar
 from comshuffle.errors import ParseError
 from comshuffle.exprlang import (
     InvProject,
@@ -9,7 +9,6 @@ from comshuffle.exprlang import (
     Project,
     SetLit,
     ShuffleE,
-    Star,
     UnionE,
     WordLit,
     parse,
@@ -40,7 +39,7 @@ def test_set_literal_and_star_plus():
     e, _ = parse("{ab, a}", AB)
     assert e == SetLit(("ab", "a"))
     e, _ = parse("{a,b}*", AB)
-    assert e == Star(frozenset("ab"))
+    assert e == GammaStar(frozenset("ab"))
 
 
 def test_star_requires_single_letters():
@@ -90,6 +89,17 @@ def test_project_and_invproject():
 def test_unknown_letter_rejected():
     with pytest.raises(ParseError):
         parse("abc", AB)
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("abc", 2), ("perm(acb)", 6), ("{a, c}*", 4), ("F(c,1)", 2),
+    ("project(a, {b,c})", 14), ("alphabet ab; a | ca", 17),
+])
+def test_unknown_letter_rejected_at_its_position(text, pos):
+    with pytest.raises(ParseError) as err:
+        parse(text, AB)
+    assert err.value.pos == pos
+    assert str(err.value) == f"unknown letter 'c' (at position {pos})"
 
 
 def test_trailing_input_rejected():

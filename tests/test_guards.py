@@ -38,6 +38,7 @@ CASES = [
         60,
         300,
     ),
+    ("enumeration_vectors", lambda: oracle.count_tuples(5, 60), 250_000, 8_259_888),
 ]
 
 
