@@ -336,13 +336,19 @@ def union_iterated_shuffle(u: DplUnion) -> DplUnion:
     applies; otherwise each of them is walked on a DFA of the converted part
     (`_escapes`), and its finitely many escaping slices join the result, or
     `UndecidedError` names it.  No term of the result lies in another.
+    Either error carries the fold as `linear_sets`, for exact membership in
+    the closure (`in_linear_sets`) without folding again.
     """
     alphabet = u.alphabet
     sets = fold_linear_sets(u)
     converted = [s for s in sets if _recognizable(s)]
     rest = [s for s in sets if not _recognizable(s)]
     if rest:
-        _certify_non_regular(u)
+        try:
+            _certify_non_regular(u)
+        except NonRegularError as err:
+            err.linear_sets = sets
+            raise
     regular = DplUnion.of(alphabet, [t for s in converted for t in closure_terms(alphabet, *s)])
     if len(converted) > 1:  # one set's terms already form an antichain
         regular = maximal_terms(regular)
@@ -350,10 +356,12 @@ def union_iterated_shuffle(u: DplUnion) -> DplUnion:
     for s in rest:
         escapes = _escapes(regular, s)
         if escapes is None:
-            raise UndecidedError(
+            err = UndecidedError(
                 f"iterated shuffle undecided: the linear set {_words(alphabet, [s[0]])[0] or 'ε'}"
                 f" + ⟨{', '.join(_words(alphabet, s[1]))}⟩ is not absorbed by the regular part"
             )
+            err.linear_sets = sets
+            raise err
         units = frozenset(p for p in s[1] if _is_unary(p))
         terms += [t for v in escapes for t in closure_terms(alphabet, v, units)]
     return maximal_terms(DplUnion.of(alphabet, terms)) if rest else regular

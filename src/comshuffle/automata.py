@@ -2,11 +2,11 @@
 
 Compilation of diagonal periodic unions to automata, the commutativity,
 aperiodicity and permutation predicates, minimization, the projection
-construction for commutative machines, and a verification-gated extraction
-back to normal form.  A DFA is stored as one transition row per letter; the
-sorted `(state, letter, next)` triples of the JSON and DOT output are derived
-from the rows.  Automata may be incomplete: a missing transition encodes an
-exact-zero letter and behaves as an implicit reject.
+construction for commutative machines, and an extraction back to normal form
+that is exact by construction.  A DFA is stored as one transition row per
+letter; the sorted `(state, letter, next)` triples of the JSON and DOT output
+are derived from the rows.  Automata may be incomplete: a missing transition
+encodes an exact-zero letter and behaves as an implicit reject.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .dpl import CountSet, DiagonalPeriodic, DplUnion, in_count_set
+from .dpl import CountSet, DiagonalPeriodic, DplUnion, count_set_subset, in_count_set
 from .errors import CriterionError, NotInPositiveClassError, SizeGuardError
 from .progressions import Progression
 from .words import Alphabet
@@ -397,41 +397,62 @@ def equivalence_witness(d1: Dfa, d2: Dfa) -> Optional[str]:
 # --- extraction back to normal form ---------------------------------------
 
 
-def _accepted_rep(d: Dfa, reps: dict[str, tuple[int, int]]):
-    """Acceptance of a count vector via the canonical word, with each count
-    collapsed onto the tail-plus-cycle representative of its letter."""
-    table = complete(d).table
+def _reached(m: Dfa, sets: Sequence[CountSet]) -> set[int]:
+    """The states of the complete commutative DFA `m` that the count vectors
+    of a term (its count sets, in alphabet order) lead to from the start.
 
-    def collapse(a: str, n: int) -> int:
-        tail, cycle = reps[a]
-        return n if n < tail else tail + (n - tail) % cycle
+    Commutativity lets the letters be read in alphabet order.  Letter by
+    letter, an exact count k moves every state k steps on the letter's row,
+    and a progression k + pN then adds the orbit of those states under p
+    more steps.
+    """
 
-    def accepted(counts: tuple[int, ...]) -> bool:
-        q = d.start
-        for a, n in zip(d.alphabet, counts):
-            row = table[a]
-            for _ in range(collapse(a, n)):
-                q = row[q]
-        return q in d.finals
+    def step(q: int, row: Row, n: int) -> int:
+        for _ in range(n):
+            q = row[q]
+        return q
 
-    return accepted
+    states = {m.start}
+    for row, s in zip(m.rows, sets):
+        if not isinstance(s, Progression):
+            states = {step(q, row, s) for q in states}
+            continue
+        states = {step(q, row, s.offset) for q in states}
+        todo = list(states)
+        while todo:
+            r = step(todo.pop(), row, s.period)
+            if r not in states:
+                states.add(r)
+                todo.append(r)
+    return states
 
 
 def dfa_to_dpl(d: Dfa) -> DplUnion:
-    """Extract a diagonal periodic union from a commutative DFA whose
-    language lies in the positive class, and verify it exactly: the
-    compiled union must be equivalent to the minimal input DFA.  Inputs
-    outside the class are rejected, either during synthesis (no progression
-    fits an accepted point) or at verification.
+    """Extract a diagonal periodic union with no nonzero exact count (the
+    positive class) from a commutative DFA, exact by construction.
+
+    In the minimal DFA m, letter a has the tail t_a and cycle c_a of its row
+    (`_rho`), so a count n >= t_a acts as t_a + (n - t_a) mod c_a: the
+    language is a union of collapse classes, one per point of the grid
+    counts < t_a + c_a, a count being exact below t_a and n + c_a·N from
+    it.  For each accepted point, in grid order, a term holding its class
+    is chosen: n + c_a·N from the tail, and below it the count zero, then
+    n + p·N for p = 1 .. t_a + c_a.  The first candidate whose reached
+    states (`_reached`) are all final is kept, and a point with none raises
+    `NotInPositiveClassError`.  A point whose class a kept term already
+    contains is skipped, so no kept term lies in another: an earlier one
+    would cover the later point's class, and a later one, whose offsets
+    are a later point, cannot hold an earlier point.
+
+    The union is exactly L(d): every term lies in L(d) since the states it
+    reaches are final, and every accepted vector lies in the class of an
+    accepted point, which a kept term contains.
     """
     if not is_commutative(d):
         raise CriterionError("extraction requires a commutative automaton")
     m = minimize(d)
-    reps = {a: _rho(row) for a, row in m.table.items()}
-    accepted = _accepted_rep(m, reps)
-
-    grid = [range(sum(reps[a])) for a in m.alphabet]
-    total_grid = math.prod(len(r) for r in grid)
+    reps = [_rho(row) for row in m.rows]
+    total_grid = math.prod(tail + cycle for tail, cycle in reps)
     if total_grid > EXTRACT_GRID_GUARD:
         raise SizeGuardError(
             f"extraction grid too large: {total_grid} points",
@@ -440,56 +461,31 @@ def dfa_to_dpl(d: Dfa) -> DplUnion:
             observed=total_grid,
         )
 
-    def term_ok(progs: dict[str, Progression]) -> bool:
-        # exact containment check: beyond tail + lcm(cycle, period) both the
-        # term and the language are periodic per coordinate
-        ranges = []
-        for a in m.alphabet:
-            tail, cycle = reps[a]
-            if a not in progs:
-                ranges.append([0])
-                continue
-            prog = progs[a]
-            top = max(tail, prog.offset) + 2 * math.lcm(cycle, prog.period)
-            ranges.append(
-                [n for n in range(prog.offset, top + 1) if n in prog]
-            )
-        return all(accepted(counts) for counts in product(*ranges))
-
     terms: list[DiagonalPeriodic] = []
-    for counts in product(*grid):
-        if not accepted(counts):
+    for counts in product(*(range(tail + cycle) for tail, cycle in reps)):
+        collapse = [
+            n if n < tail else Progression(n, cycle) for n, (tail, cycle) in zip(counts, reps)
+        ]
+        if any(all(map(count_set_subset, collapse, t.sets)) for t in terms):
             continue
-        choices: list[list[tuple[str, Optional[Progression]]]] = []
-        for a, n in zip(m.alphabet, counts):
-            tail, cycle = reps[a]
+        if not _reached(m, counts) <= m.finals:
+            continue
+        choices: list[list[CountSet]] = []
+        for n, (tail, cycle) in zip(counts, reps):
             if n >= tail:
-                choices.append([(a, Progression(n, cycle))])
-            elif n == 0:
-                opts: list[tuple[str, Optional[Progression]]] = [(a, None)]
-                opts.extend((a, Progression(0, p)) for p in range(1, tail + cycle + 1))
-                choices.append(opts)
+                choices.append([Progression(n, cycle)])
             else:
-                choices.append(
-                    [(a, Progression(n, p)) for p in range(1, tail + cycle + 1)]
-                )
-        for combo in product(*choices):
-            progs = {a: prog for a, prog in combo if prog is not None}
-            if term_ok(progs):
-                terms.append(DiagonalPeriodic.make(m.alphabet, progs))
+                opts: list[CountSet] = [Progression(n, p) for p in range(1, tail + cycle + 1)]
+                choices.append([0] + opts if n == 0 else opts)
+        for sets in product(*choices):
+            if _reached(m, sets) <= m.finals:
+                terms.append(DiagonalPeriodic(m.alphabet, sets))
                 break
         else:
             raise NotInPositiveClassError(
                 f"no diagonal periodic term fits the accepted point {counts}"
             )
-
-    union = DplUnion.of(m.alphabet, terms)
-    w = equivalence_witness(m, dpl_to_dfa(union))
-    if w is not None:
-        raise NotInPositiveClassError(
-            f"not in positive class: extraction disagrees on {w!r}"
-        )
-    return union
+    return DplUnion.of(m.alphabet, terms)
 
 
 # --- serialization --------------------------------------------------------

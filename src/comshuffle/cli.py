@@ -4,8 +4,9 @@ Commands: normalize, member, regular (alias regular?), dfa, check, report.
 Every iterated shuffle, of a union or of a word set's Parikh image, goes
 through `aperiodic.union_iterated_shuffle`.  A closure proven not regular,
 or undecided, becomes a "closure" value: `member` and `check` answer on it
-exactly, `regular` prints the non-regularity certificate, and `normalize`,
-`dfa` and `report` exit 3.
+exactly, `regular` prints the non-regularity certificate, a projection of it
+is the closure of the projected union, and `normalize`, `dfa` and `report`
+exit 3.
 Exit codes: 0 success, 2 syntax error, 3 outside the implemented fragment,
 undecided or not regular, 4 resource guard exceeded, 5 oracle mismatch.
 """
@@ -21,9 +22,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from typing import Optional
 
-from .aperiodic import (
-    fold_linear_sets, in_linear_sets, union_closure_member, union_iterated_shuffle
-)
+from .aperiodic import in_linear_sets, union_closure_member, union_iterated_shuffle
 from .automata import (
     STATE_GUARD_DEFAULT,
     dfa_to_dict,
@@ -112,10 +111,11 @@ class Value:
         """The Parikh image of a word-set payload, built once per value."""
         return _finite_union(self.payload)
 
-    @cached_property
+    @property
     def linear_sets(self) -> list:
-        """The linear sets of a closure payload's fold, built once per value."""
-        return fold_linear_sets(self.payload)
+        """The linear sets of a closure payload's fold, which the error of
+        `union_iterated_shuffle` carries."""
+        return self.error.linear_sets
 
 
 def _shuffle_pair_words(w1: str, w2: str) -> set[str]:
@@ -258,7 +258,8 @@ def eval_expr(e: Expr, alphabet: Alphabet, clause_guard: int = DEFAULT_CLAUSE_GU
             return Value(
                 "finite", FiniteLang.of(child.alphabet.restrict(e.letters), words)
             )
-        raise _fragment("projection", (child.kind,))
+        # projection is a monoid morphism: it maps sh*(X) to sh*(project(X))
+        return _iterated_shuffle(Value("dpl", dpl_project(child.payload, e.letters)))
     if isinstance(e, InvProject):
         child = eval_expr(e.child, alphabet, clause_guard)
         u = _as_union(child)

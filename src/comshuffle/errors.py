@@ -34,7 +34,9 @@ class CriterionError(ComshuffleError):
 
 class NonRegularError(CriterionError):
     """The iterated shuffle is proven not regular: `letter` occurs in its
-    restriction to the letters `subalphabet` without a unary period."""
+    restriction to the letters `subalphabet` without a unary period.
+    `aperiodic.union_iterated_shuffle` sets `linear_sets` to the closure's
+    fold."""
 
     def __init__(self, message, letter, subalphabet):
         super().__init__(message, letter)
@@ -60,4 +62,6 @@ class FragmentError(ComshuffleError):
 
 
 class UndecidedError(ComshuffleError):
-    """The implemented sufficient criteria neither confirm nor refute the query."""
+    """The implemented sufficient criteria neither confirm nor refute the query.
+    `aperiodic.union_iterated_shuffle` sets `linear_sets` to the closure's
+    fold."""

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -32,6 +32,7 @@ from comshuffle.dpl import (
     dpl_project,
     dpl_union_member,
     from_generators,
+    maximal_terms,
 )
 from comshuffle.errors import CriterionError, NotInPositiveClassError, SizeGuardError
 from comshuffle.oracle import dpl_enumerate, sets_equal, word_language
@@ -450,3 +451,97 @@ def test_word_language_agrees_with_dfa():
     expected = word_language(lambda v: dpl_union_member(v, u), AB, 6)
     got = tuple(w for w in words_upto(AB, 6) if d.accepts(w))
     assert sorted(got) == sorted(expected)
+
+
+def random_term_union(rng, alphabet, max_terms=3):
+    """1–3 terms; each letter gets a progression k + pN (k <= 3, p <= 4),
+    an exact count <= 3 or the count zero."""
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        sets = []
+        for _ in alphabet:
+            r = rng.random()
+            if r < 0.55:
+                sets.append(Progression(rng.randint(0, 3), rng.randint(1, 4)))
+            else:
+                sets.append(rng.randint(0, 3) if r < 0.8 else 0)
+        terms.append(DiagonalPeriodic(alphabet, tuple(sets)))
+    return DplUnion.of(alphabet, terms)
+
+
+def test_extraction_is_exact_or_refused():
+    # compiled, completed and projected machines of unions with progressions
+    # and exact counts: the extraction equals the minimal DFA, or the
+    # language needs an exact count and is refused
+    rng = random.Random(2026)
+    machines = []
+    for _ in range(300):
+        alphabet = Alphabet.of(rng.choice(["a", "ab", "abc"]))
+        d = dpl_to_dfa(random_term_union(rng, alphabet))
+        machines += [d, complete(d)]
+        if len(alphabet) > 1:
+            machines.append(project_automaton(d, rng.sample(alphabet.letters, len(alphabet) - 1)))
+    extracted = 0
+    for d in machines:
+        try:
+            u = dfa_to_dpl(d)
+        except NotInPositiveClassError as err:
+            assert str(err).startswith("no diagonal periodic term fits the accepted point")
+            continue
+        extracted += 1
+        assert not any(t.exact for t in u.terms)
+        assert maximal_terms(u) == u
+        assert equivalence_witness(minimize(d), dpl_to_dfa(u)) is None
+    assert 300 < extracted < len(machines)
+
+
+def test_extraction_skips_a_covered_class():
+    # a^{1+N} ∪ a^{2+N} ⧢ b^{2+2N}: the grid point (2, 0) is accepted, but its
+    # class a^{2+N} lies in the term a^{1+N} kept for (1, 0), so it adds none
+    terms = (
+        DiagonalPeriodic(AB, (Progression(1, 1), 0)),
+        DiagonalPeriodic(AB, (Progression(2, 1), Progression(2, 2))),
+    )
+    assert dfa_to_dpl(dpl_to_dfa(DplUnion.of(AB, terms))).terms == terms
+
+
+def _keeps(alphabet):
+    letters = alphabet.letters
+    return [c for r in range(1, len(letters) + 1) for c in combinations(letters, r)]
+
+
+@pytest.mark.parametrize("alphabet", [AB, ABC])
+def test_projection_keeps_aperiodic_languages_aperiodic(alphabet):
+    # all periods one: a star-free commutative language, whose projections
+    # are star-free too
+    rng = random.Random(len(alphabet))
+    for _ in range(40):
+        terms = [
+            DiagonalPeriodic(alphabet, tuple(
+                Progression(rng.randint(0, 3), 1) if rng.random() < 0.6 else rng.randint(0, 2)
+                for _ in alphabet
+            ))
+            for _ in range(rng.randint(1, 3))
+        ]
+        m = minimize(dpl_to_dfa(DplUnion.of(alphabet, terms)))
+        assert is_aperiodic(m)
+        for keep in _keeps(alphabet):
+            assert is_aperiodic(minimize(project_automaton(m, keep))), (terms, keep)
+
+
+@pytest.mark.parametrize("alphabet", [AB, ABC])
+def test_projection_keeps_group_languages_group(alphabet):
+    # every offset below its period: a union of residue classes, recognized
+    # by a permutation automaton, and so are its projections
+    rng = random.Random(10 + len(alphabet))
+    for _ in range(40):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            periods = [rng.randint(1, 4) for _ in alphabet]
+            terms.append(DiagonalPeriodic(
+                alphabet, tuple(Progression(rng.randrange(p), p) for p in periods)
+            ))
+        m = minimize(dpl_to_dfa(DplUnion.of(alphabet, terms)))
+        assert is_permutation(m)
+        for keep in _keeps(alphabet):
+            assert is_permutation(minimize(project_automaton(m, keep))), (terms, keep)

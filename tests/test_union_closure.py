@@ -5,22 +5,25 @@ equivalent results."""
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from comshuffle import aperiodic
 from comshuffle.aperiodic import union_iterated_shuffle
 from comshuffle.automata import dpl_to_dfa, equivalence_witness, minimize
-from comshuffle.cli import main
+from comshuffle.cli import _as_union, _member_counts, eval_expr, main
 from comshuffle.dpl import (
     DiagonalPeriodic,
     DplUnion,
+    dpl_project,
     dpl_union_from_dict,
     dpl_union_member,
     term_subset,
 )
 from comshuffle.errors import NonRegularError, SizeGuardError, UndecidedError
-from comshuffle.oracle import closure_under_addition, predicate_enumerate, sets_equal
+from comshuffle.exprlang import parse
+from comshuffle.oracle import closure_under_addition, count_tuples, predicate_enumerate, sets_equal
 from comshuffle.progressions import Progression
 from comshuffle.words import Alphabet, ParikhVector, parikh
 
@@ -222,8 +225,17 @@ def test_unabsorbed_linear_set_is_undecided():
     # terms, so the fold names it rather than guess
     terms = ("3 0+3N 0", "2 3 0", "3 0 2+2N", "2 1 2")
     u = DplUnion.of(ABC, [_parse_term(ABC, t) for t in terms])
-    with pytest.raises(UndecidedError, match="aabbb \\+ ⟨aabbb, aabcc⟩"):
+    with pytest.raises(UndecidedError, match="aabbb \\+ ⟨aabbb, aabcc⟩") as err:
         union_iterated_shuffle(u)
+    # the error carries the fold, for exact membership without a second one
+    assert err.value.linear_sets == aperiodic.fold_linear_sets(u)
+
+
+def test_non_regular_verdict_carries_the_fold():
+    u = DplUnion.of(AB, [_parse_term(AB, "1 1")])
+    with pytest.raises(NonRegularError) as err:
+        union_iterated_shuffle(u)
+    assert err.value.linear_sets == aperiodic.fold_linear_sets(u)
 
 
 def run(capsys, *argv):
@@ -274,3 +286,60 @@ def test_linear_set_guard(capsys, monkeypatch):
     assert out == ""
     assert "closure linear set guard" in err
     assert "4 > 3" in err
+
+
+def union_text(u: DplUnion) -> str:
+    """Expression text for a union over two or more letters: k + pN of the
+    letter a as F(a,k mod p,p) & F(a,k) & {a}*, an exact count c as perm(a^c),
+    and the empty word as {a}* & {b}*."""
+    first, second = u.alphabet.letters[:2]
+    terms = []
+    for t in u.terms:
+        pieces = [
+            f"(F({a},{s.offset % s.period},{s.period}) & F({a},{s.offset}) & {{{a}}}*)"
+            if isinstance(s, Progression)
+            else f"perm({a * s})"
+            for a, s in zip(u.alphabet, t.sets)
+            if s != 0
+        ]
+        terms.append("(" + (" <> ".join(pieces) or f"{{{first}}}* & {{{second}}}*") + ")")
+    return " | ".join(terms)
+
+
+def test_projection_of_a_closure_is_exact():
+    # project(sh*(X), Γ) is the closure of the projected union; compared, on
+    # every vector up to the bound, with the fold of X projected set by set
+    # (π(b + ⟨P⟩) = π(b) + ⟨π(P)⟩), and by DFA equivalence with the
+    # projection of sh*(X) where that is regular
+    rng = random.Random(1919)
+    kinds = Counter()
+    for i in range(150):
+        alphabet = ABC if i % 2 else AB
+        u = random_union(rng, alphabet, 3)
+        keep = rng.sample(alphabet.letters, rng.randint(1, len(alphabet) - 1))
+        sub = alphabet.restrict(keep)
+        text = union_text(u)
+        written = _as_union(eval_expr(parse(text, alphabet)[0], alphabet))
+        assert equivalence_witness(minimize(dpl_to_dfa(written)), minimize(dpl_to_dfa(u))) is None
+        value = eval_expr(parse(f"project(sh*({text}), {{{','.join(keep)}}})", alphabet)[0], alphabet)
+        assert value.alphabet == sub
+        picks = [alphabet.index(a) for a in sub]
+        pi = lambda v: tuple(v[j] for j in picks)
+        projected = [
+            (pi(b), frozenset(pi(p) for p in periods if any(pi(p))))
+            for b, periods in aperiodic.fold_linear_sets(u)
+        ]
+        for counts in count_tuples(len(sub), 8):
+            assert _member_counts(value, counts) == aperiodic.in_linear_sets(counts, projected), (
+                u, keep, counts
+            )
+        try:
+            closure = union_iterated_shuffle(u)
+        except (NonRegularError, UndecidedError):
+            kinds["closure", value.kind] += 1
+            continue
+        kinds["dpl", value.kind] += 1
+        expected = minimize(dpl_to_dfa(dpl_project(closure, keep)))
+        assert equivalence_witness(expected, minimize(dpl_to_dfa(value.payload))) is None, (u, keep)
+    # some closures become regular under projection, and some stay closures
+    assert kinds.keys() == {("dpl", "dpl"), ("closure", "dpl"), ("closure", "closure")}
