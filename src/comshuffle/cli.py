@@ -1,12 +1,15 @@
 """Command line front end.
 
 Commands: normalize, member, regular (alias regular?), dfa, check, report.
+An expression evaluates to a `DplUnion`, a `FiniteLang` (an exact word set)
+or a `Closure`.  A word set stays one under `|` and `<>` with word sets, `&`
+and `project`; elsewhere `_as_union` converts it to its Parikh image when it
+is permutation closed, and refuses it otherwise (outside the fragment).
 Every iterated shuffle, of a union or of a word set's Parikh image, goes
 through `aperiodic.union_iterated_shuffle`.  A closure proven not regular,
-or undecided, becomes a "closure" value: `member` and `check` answer on it
-exactly, `regular` prints the non-regularity certificate, a projection of it
-is the closure of the projected union, and `normalize`, `dfa` and `report`
-exit 3.
+or undecided, is a `Closure`: `member` and `check` answer on it exactly,
+`regular` prints the non-regularity certificate, a projection of it is the
+closure of the projected union, and `normalize`, `dfa` and `report` exit 3.
 Exit codes: 0 success, 2 syntax error, 3 outside the implemented fragment,
 undecided or not regular, 4 resource guard exceeded, 5 oracle mismatch.
 """
@@ -19,7 +22,8 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
+from math import comb
 from typing import Optional
 
 from .aperiodic import in_linear_sets, union_closure_member, union_iterated_shuffle
@@ -84,38 +88,22 @@ from .words import (
 
 DEFAULT_CHECK_BOUND = 8
 WORD_SHUFFLE_MAX_LEN = 12
+WORD_SHUFFLE_MAX_WORDS = 50_000
 PROJECT_ORACLE_SLACK = 12
 
 
 @dataclass(frozen=True)
-class Value:
-    """Evaluation result: a normal form tagged with its representation kind.
+class Closure:
+    """The iterated shuffle of `union`, which has no normal form: `error`
+    proves it not regular, or leaves it undecided.  It answers membership
+    only, on the fold of linear sets that `error.linear_sets` carries."""
 
-    kind "dpl": DplUnion, the commutative languages (exact letter counts
-    included); "finite": FiniteLang, an exact word set, which need not be
-    permutation closed; "closure": the iterated shuffle of the DplUnion
-    payload, which has no normal form (not regular, or undecided) and
-    answers membership only; `error` says why.
-    """
-
-    kind: str
-    payload: object
-    error: Optional[ComshuffleError] = None
+    union: DplUnion
+    error: ComshuffleError
 
     @property
     def alphabet(self) -> Alphabet:
-        return self.payload.alphabet
-
-    @cached_property
-    def points(self) -> DplUnion:
-        """The Parikh image of a word-set payload, built once per value."""
-        return _finite_union(self.payload)
-
-    @property
-    def linear_sets(self) -> list:
-        """The linear sets of a closure payload's fold, which the error of
-        `union_iterated_shuffle` carries."""
-        return self.error.linear_sets
+        return self.union.alphabet
 
 
 def _shuffle_pair_words(w1: str, w2: str) -> set[str]:
@@ -131,6 +119,13 @@ def _shuffle_pair_words(w1: str, w2: str) -> set[str]:
 
 
 def _finite_shuffle(l1: FiniteLang, l2: FiniteLang) -> FiniteLang:
+    """The word-level shuffle, guarded on its interleavings before any is
+    built: a pair of words has C(|w1|+|w2|, |w1|) of them."""
+    n = sum(comb(len(w1) + len(w2), len(w1)) for w1 in l1.words for w2 in l2.words)
+    if n > WORD_SHUFFLE_MAX_WORDS:
+        raise SizeGuardError.over(
+            "word shuffle words", "word_shuffle_words", WORD_SHUFFLE_MAX_WORDS, n
+        )
     words = (
         w
         for w1 in l1.words
@@ -146,69 +141,57 @@ def _finite_union(lang: FiniteLang) -> DplUnion:
     return DplUnion(lang.alphabet, tuple(map(DiagonalPeriodic.perm_shuffle, vectors)))
 
 
-def _as_union(v: Value) -> Optional[DplUnion]:
-    """The value as a union of terms; a word set converts exactly when it is
-    permutation closed, that is when it holds, for each multiset of letters
-    it uses, all the multinomially many words with those letters.  A closure
-    raises the error that kept it from a normal form."""
-    if v.kind == "dpl":
-        return v.payload
-    if v.kind == "closure":
+def _as_union(v: DplUnion | FiniteLang | Closure, op: str = "conversion") -> DplUnion:
+    """The value as a union of terms, for the operation `op`.  A closure
+    raises the error that kept it from a normal form.  A word set converts
+    exactly when it is permutation closed, that is when it holds, for each
+    multiset of letters it uses, all the multinomially many words with those
+    letters; any other word set is outside the fragment."""
+    if isinstance(v, DplUnion):
+        return v
+    if isinstance(v, Closure):
         raise v.error
-    groups = Counter("".join(sorted(w)) for w in v.payload.words)
-    return v.points if all(n == arrangements(k) for k, n in groups.items()) else None
-
-
-def _fragment(op: str, kinds) -> FragmentError:
-    return FragmentError(
-        f"{op} is outside the implemented fragment for operand kinds {kinds}; "
-        "a general normal form for this combination is not available"
-    )
-
-
-def _both_unions(op: str, v1: Value, v2: Value) -> tuple[DplUnion, DplUnion]:
-    u1, u2 = _as_union(v1), _as_union(v2)
-    if u1 is None or u2 is None:
-        raise _fragment(op, (v1.kind, v2.kind))
-    return u1, u2
-
-
-def _union_values(v1: Value, v2: Value) -> Value:
-    if v1.kind == "finite" and v2.kind == "finite":
-        return Value(
-            "finite",
-            FiniteLang.of(v1.alphabet, v1.payload.words + v2.payload.words),
+    groups = Counter("".join(sorted(w)) for w in v.words)
+    if not all(n == arrangements(k) for k, n in groups.items()):
+        raise FragmentError(
+            f"{op} of a word set that is not permutation closed is outside the "
+            "implemented fragment"
         )
-    return Value("dpl", dpl_union(*_both_unions("union", v1, v2)))
+    return _finite_union(v)
 
 
-def _member_counts(v: Value, counts: tuple[int, ...]) -> bool:
-    """Membership of a count vector in a commutative kind."""
-    if v.kind == "dpl":
-        return any(all(map(in_count_set, counts, t.sets)) for t in v.payload.terms)
-    return in_linear_sets(counts, v.linear_sets)
+def _union_values(v1, v2):
+    if isinstance(v1, FiniteLang) and isinstance(v2, FiniteLang):
+        return FiniteLang.of(v1.alphabet, v1.words + v2.words)
+    return dpl_union(_as_union(v1, "union"), _as_union(v2, "union"))
 
 
-def _member_word(v: Value, w: str) -> bool:
-    """Membership of a word; commutative kinds go through its Parikh vector."""
-    if v.kind == "finite":
-        return w in v.payload.words
+def _member_counts(v: DplUnion | Closure, counts: tuple[int, ...]) -> bool:
+    """Membership of a count vector in a union or a closure."""
+    if isinstance(v, DplUnion):
+        return any(all(map(in_count_set, counts, t.sets)) for t in v.terms)
+    return in_linear_sets(counts, v.error.linear_sets)
+
+
+def _member_word(v: DplUnion | FiniteLang | Closure, w: str) -> bool:
+    """Membership of a word; a union or closure tests its Parikh vector."""
+    if isinstance(v, FiniteLang):
+        return w in v.words
     return _member_counts(v, parikh(w, v.alphabet).counts)
 
 
-def _intersect_values(v1: Value, v2: Value) -> Value:
-    if v1.kind == "finite":
-        kept = [w for w in v1.payload.words if _member_word(v2, w)]
-        return Value("finite", FiniteLang.of(v1.alphabet, kept))
-    if v2.kind == "finite":
+def _intersect_values(v1, v2):
+    if isinstance(v1, FiniteLang):
+        return FiniteLang.of(v1.alphabet, [w for w in v1.words if _member_word(v2, w)])
+    if isinstance(v2, FiniteLang):
         return _intersect_values(v2, v1)
-    return Value("dpl", dpl_intersect(*_both_unions("intersection", v1, v2)))
+    return dpl_intersect(_as_union(v1, "intersection"), _as_union(v2, "intersection"))
 
 
-def _shuffle_values(v1: Value, v2: Value) -> Value:
-    if v1.kind == "finite" and v2.kind == "finite":
-        return Value("finite", _finite_shuffle(v1.payload, v2.payload))
-    return Value("dpl", dpl_shuffle(*_both_unions("shuffle", v1, v2)))
+def _shuffle_values(v1, v2):
+    if isinstance(v1, FiniteLang) and isinstance(v2, FiniteLang):
+        return _finite_shuffle(v1, v2)
+    return dpl_shuffle(_as_union(v1, "shuffle"), _as_union(v2, "shuffle"))
 
 
 _BINARY = {
@@ -218,54 +201,56 @@ _BINARY = {
 }
 
 
-def _iterated_shuffle(child: Value) -> Value:
+def _iterated_shuffle(child: DplUnion | FiniteLang | Closure) -> DplUnion | Closure:
     """The exact fold of `union_iterated_shuffle`, on a union or on a word
     set's Parikh image; a closure it proves not regular, or cannot decide,
-    stays a "closure" value.  A closure is its own iterated shuffle."""
-    if child.kind == "closure":
+    stays a `Closure`.  A closure is its own iterated shuffle."""
+    if isinstance(child, Closure):
         return child
-    u = child.points if child.kind == "finite" else child.payload
+    u = _finite_union(child) if isinstance(child, FiniteLang) else child
     try:
-        return Value("dpl", union_iterated_shuffle(u))
+        return union_iterated_shuffle(u)
     except (NonRegularError, UndecidedError) as err:
-        return Value("closure", u, err)
+        return Closure(u, err)
 
 
-def eval_expr(e: Expr, alphabet: Alphabet, clause_guard: int = DEFAULT_CLAUSE_GUARD) -> Value:
+def eval_expr(
+    e: Expr, alphabet: Alphabet, clause_guard: int = DEFAULT_CLAUSE_GUARD
+) -> DplUnion | FiniteLang | Closure:
     if isinstance(e, WordLit):
-        return Value("finite", FiniteLang.of(alphabet, [e.word]))
+        return FiniteLang.of(alphabet, [e.word])
     if isinstance(e, SetLit):
-        return Value("finite", FiniteLang.of(alphabet, e.words))
+        return FiniteLang.of(alphabet, e.words)
     if isinstance(e, Perm):
-        return Value("finite", FiniteLang.of(alphabet, perm_set(e.word)))
+        return FiniteLang.of(alphabet, perm_set(e.word))
     if isinstance(e, (Fcount, Fmod, GammaStar, GammaPlus)):
-        return Value("dpl", from_generators(e, alphabet, clause_guard))
+        return from_generators(e, alphabet, clause_guard)
     if type(e) in _BINARY:
         op, combine = _BINARY[type(e)]
         vals = [eval_expr(p, alphabet, clause_guard) for p in e.parts]
         if len({v.alphabet for v in vals}) > 1:
             shown = " and ".join(dict.fromkeys("{" + ",".join(v.alphabet) + "}" for v in vals))
             raise ComshuffleError(f"the operands of {op} have different alphabets: {shown}")
-        return reduce(combine, vals)
+        value = vals[0]
+        for v in vals[1:]:
+            value = combine(value, v)
+            if isinstance(value, DplUnion) and len(value.terms) > clause_guard:
+                raise SizeGuardError.over("clause", "clauses", clause_guard, len(value.terms))
+        return value
     if isinstance(e, IterShuffle):
         return _iterated_shuffle(eval_expr(e.child, alphabet, clause_guard))
     if isinstance(e, Project):
         child = eval_expr(e.child, alphabet, clause_guard)
-        if child.kind == "dpl":
-            return Value("dpl", dpl_project(child.payload, e.letters))
-        if child.kind == "finite":
-            words = [project_word(w, e.letters) for w in child.payload.words]
-            return Value(
-                "finite", FiniteLang.of(child.alphabet.restrict(e.letters), words)
-            )
-        # projection is a monoid morphism: it maps sh*(X) to sh*(project(X))
-        return _iterated_shuffle(Value("dpl", dpl_project(child.payload, e.letters)))
+        if isinstance(child, FiniteLang):
+            words = [project_word(w, e.letters) for w in child.words]
+            return FiniteLang.of(child.alphabet.restrict(e.letters), words)
+        if isinstance(child, Closure):
+            # projection is a monoid morphism: it maps sh*(X) to sh*(project(X))
+            return _iterated_shuffle(dpl_project(child.union, e.letters))
+        return dpl_project(child, e.letters)
     if isinstance(e, InvProject):
         child = eval_expr(e.child, alphabet, clause_guard)
-        u = _as_union(child)
-        if u is None:
-            raise _fragment("inverse projection", (child.kind,))
-        return Value("dpl", dpl_inverse_project(u, alphabet))
+        return dpl_inverse_project(_as_union(child, "inverse projection"), alphabet)
     raise TypeError(f"unknown expression node: {e!r}")
 
 
@@ -351,28 +336,16 @@ def oracle_set(e: Expr, alphabet: Alphabet, bound: int) -> frozenset[ParikhVecto
 # --- output helpers -------------------------------------------------------
 
 
-def value_to_dict(v: Value) -> dict:
-    if v.kind == "dpl":
-        return dpl_union_to_dict(v.payload)
-    if v.kind == "finite":
-        return {
-            "alphabet": list(v.alphabet.letters),
-            "words": sorted(v.payload.words, key=word_order_key),
-        }
+def value_to_dict(v: DplUnion | FiniteLang | Closure) -> dict:
+    if isinstance(v, DplUnion):
+        return dpl_union_to_dict(v)
+    if isinstance(v, FiniteLang):
+        return {"alphabet": list(v.alphabet.letters), "words": sorted(v.words, key=word_order_key)}
     raise v.error
 
 
 def _canonical_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True)
-
-
-def _verdict_dict(e: Expr, alphabet: Alphabet, clause_guard: int) -> dict:
-    value = eval_expr(e, alphabet, clause_guard)
-    if value.kind == "closure" and isinstance(err := value.error, NonRegularError):
-        witness = {"witness": err.letter, "subalphabet": list(err.subalphabet)}
-        return {"regular": False, **witness, "representation": None}
-    rep = value_to_dict(value)
-    return {"regular": True, "witness": None, "representation": rep}
 
 
 # --- command implementations ----------------------------------------------
@@ -400,9 +373,9 @@ def cmd_member(args) -> int:
         # a projection's value lacks some session letters: no word using one
         # of them is a member
         found = False
-    elif value.kind == "closure":
+    elif isinstance(value, Closure):
         # one question: the fold and its test in one call, nothing kept
-        found = union_closure_member(parikh(args.word, value.alphabet), value.payload)
+        found = union_closure_member(parikh(args.word, value.alphabet), value.union)
     else:
         found = _member_word(value, args.word)
     print("true" if found else "false")
@@ -411,17 +384,20 @@ def cmd_member(args) -> int:
 
 def cmd_regular(args) -> int:
     e, alphabet = _resolve(args)
-    print(_canonical_json(_verdict_dict(e, alphabet, args.guard_clauses)))
+    value = eval_expr(e, alphabet, args.guard_clauses)
+    if isinstance(value, Closure) and isinstance(err := value.error, NonRegularError):
+        witness = {"witness": err.letter, "subalphabet": list(err.subalphabet)}
+        verdict = {"regular": False, **witness, "representation": None}
+    else:
+        verdict = {"regular": True, "witness": None, "representation": value_to_dict(value)}
+    print(_canonical_json(verdict))
     return 0
 
 
 def _dfa_for(args):
     e, alphabet = _resolve(args)
     value = eval_expr(e, alphabet, args.guard_clauses)
-    u = _as_union(value)
-    if u is None:
-        raise _fragment("automaton compilation", (value.kind,))
-    return dpl_to_dfa(u, args.guard_states)
+    return dpl_to_dfa(_as_union(value, "automaton compilation"), args.guard_states)
 
 
 def cmd_dfa(args) -> int:
@@ -459,8 +435,8 @@ def cmd_check(args) -> int:
     value = eval_expr(e, alphabet, args.guard_clauses)
     target = expr_alphabet(e, alphabet)
     expected = {v.counts for v in oracle_set(e, alphabet, bound)}
-    if value.kind == "finite":
-        value = Value("dpl", value.points)
+    if isinstance(value, FiniteLang):
+        value = _finite_union(value)
     actual = {c for c in count_tuples(len(target), bound) if _member_counts(value, c)}
     if not (diff := expected ^ actual):
         print(f"PASS (bound {bound})")
@@ -481,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--alphabet", help="session alphabet, e.g. abc")
     common.add_argument(
         "--guard-clauses", type=int, default=DEFAULT_CLAUSE_GUARD,
-        help="clause guard for normal form construction",
+        help="clause guard: the most terms of a union built by the generators or by one "
+        "step of |, & or <>",
     )
     common.add_argument(
         "--guard-states", type=int, default=STATE_GUARD_DEFAULT,

@@ -64,6 +64,47 @@ def test_long_word_set_that_is_not_permutation_closed(capsys):
     assert "outside the implemented fragment" in err
 
 
+@pytest.mark.parametrize(
+    "command, expr",
+    [
+        ("normalize", "F(a,1) <> {ab}"),
+        ("normalize", "F(a,1) | {ab}"),
+        ("normalize", "invproject({ab})"),
+        ("dfa", "{ab}"),
+    ],
+)
+def test_word_set_that_is_not_permutation_closed_needs_no_union(capsys, command, expr):
+    # {ab} is exact as a word set, but not as its Parikh image {ab, ba}
+    code, out, err = run(capsys, command, "--alphabet", "ab", expr)
+    assert (code, out) == (3, "")
+    assert "a word set that is not permutation closed is outside the implemented fragment" in err
+
+
+CLAUSE_CHAIN = " & ".join(
+    f"(F(a,{r},{n}) | F(b,{r},{n}) | F(c,{r},{n}))"
+    for r, n in [(0, 2), (1, 3), (0, 5), (1, 2), (2, 3), (1, 5), (0, 7), (3, 7)]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, guard",
+    [
+        # the chain folds to 1296 terms; the guard stops the fold at 108
+        (["normalize", "--guard-clauses", "100", "--alphabet", "abc", CLAUSE_CHAIN],
+         "clause guard exceeded: 108 > 100"),
+        # 90 x 90 pairs, each with up to C(12, 6) = 924 interleavings
+        (["member", "--alphabet", "abc", "abcabcabcabc", "perm(aabbcc) <> perm(aabbcc)"],
+         "word shuffle words guard exceeded: 7484400 > 50000"),
+    ],
+)
+def test_a_growing_operator_stops_at_its_guard(capsys, argv, guard):
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert (code, out) == (4, "")
+    assert guard in err
+
+
 def test_normalize_emits_canonical_json(capsys):
     code, out, _ = run(capsys, "normalize", "--alphabet", "ab", "F(a,1,2) & F(b,2)")
     assert code == 0

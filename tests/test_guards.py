@@ -5,10 +5,14 @@ import pytest
 from comshuffle import cli, oracle, regularity, words
 from comshuffle.dpl import DplUnion, Fcount, GenUnion, from_generators
 from comshuffle.errors import SizeGuardError
+from comshuffle.exprlang import parse
 from comshuffle.oracle import VectorSet
+from comshuffle.regularity import FiniteLang
 from comshuffle.words import Alphabet
 
 AB = Alphabet.of("ab")
+ABC = Alphabet.of("abc")
+PERMS = FiniteLang.of(ABC, words.perm_set("aabbcc"))
 
 CASES = [
     (
@@ -39,6 +43,15 @@ CASES = [
         300,
     ),
     ("enumeration_vectors", lambda: oracle.count_tuples(5, 60), 250_000, 8_259_888),
+    # the clause guard also bounds each step of a binary operator's fold
+    (
+        "clauses",
+        lambda: cli.eval_expr(parse("(F(a,1) | F(b,1)) & (F(a,2) | F(b,2))", AB)[0], AB, 3),
+        3,
+        4,
+    ),
+    # 90 x 90 pairs of words, each with C(12, 6) = 924 interleavings
+    ("word_shuffle_words", lambda: cli._finite_shuffle(PERMS, PERMS), 50_000, 7_484_400),
 ]
 
 
