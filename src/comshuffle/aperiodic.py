@@ -17,7 +17,6 @@ computation reports it undecided.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -27,11 +26,13 @@ from typing import Iterable, Optional, Sequence
 from .dpl import (
     DiagonalPeriodic,
     DplUnion,
+    collapse,
     dpl_project,
     dpl_shuffle,
     dpl_union_from_dict,
     dpl_union_member,
     dpl_union_to_dict,
+    grid,
     in_count_set,
     maximal_terms,
 )
@@ -273,18 +274,14 @@ def _escapes(r: DplUnion, s: Linear) -> Optional[list[Vector]]:
     """The bases b + λ·W of the slices b + λ·W + ⟨U⟩ of s that r misses (W
     the non-unary periods of s, U the unary ones); None if infinitely many.
 
-    The DFA of r walked here has as states the count vectors collapsed per
-    letter: counts from T_a on (past every offset and exact count of a) that
-    agree modulo P_a (the lcm of its periods) lie in the same terms.  A
-    slice lies in r when its base leads to a good state, one from which unary
-    steps reach only accepting states.  A bad state that a cycle of W-steps
-    reaches is reached by infinitely many λ; with none, the λ that reach bad
-    states pass no cycle, and the walk that stops at the cycles finds them.
+    The DFA of r walked here, built lazily, has as states the points of its
+    count grid (`grid`).  A slice lies in r when its base leads to a good
+    state, one from which unary steps reach only accepting states.  A bad
+    state that a cycle of W-steps reaches is reached by infinitely many λ;
+    with none, the λ that reach bad states pass no cycle, and the walk that
+    stops at the cycles finds them.
     """
-    limits = []
-    for sets in zip(*(t.sets for t in r.terms)):
-        top = max(c.offset if isinstance(c, Progression) else c + 1 for c in sets)
-        limits.append((top, math.lcm(*(c.period for c in sets if isinstance(c, Progression)))))
+    limits = grid(r)
     base, periods = s
     # a step the other periods generate only repeats slices, and would make
     # the walk see infinitely many of them
@@ -292,8 +289,7 @@ def _escapes(r: DplUnion, s: Linear) -> Optional[list[Vector]]:
     units = [p for p in periods if _is_unary(p)]
 
     def read(q: Vector, v: Vector) -> Vector:
-        counts = (x + y for x, y in zip(q, v))
-        return tuple(n if n < t else t + (n - t) % p for n, (t, p) in zip(counts, limits))
+        return tuple(map(collapse, map(operator.add, q, v), limits))
 
     start = read((0,) * len(base), base)
     edges: dict[Vector, list[Vector]] = {}

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
+from operator import and_
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .dpl import CountSet, DiagonalPeriodic, DplUnion, count_set_subset, in_count_set
+from .dpl import CountSet, DiagonalPeriodic, DplUnion, collapse, count_set_subset, grid, in_count_set
 from .errors import CriterionError, NotInPositiveClassError, SizeGuardError
 from .progressions import Progression
 from .words import Alphabet
@@ -200,56 +202,52 @@ def report(d: Dfa) -> AutomatonReport:
 # --- compilation ----------------------------------------------------------
 
 
-def _term_step(
-    sets: tuple[CountSet, ...], state: Optional[tuple[int, ...]], i: int
-) -> Optional[tuple[int, ...]]:
-    """Advance the count of letter i by one, wrapping k+p-1 back to k on a
-    progression; the term dies past an exact count (at once on a zero)."""
-    if state is None:
-        return None
-    s, n = sets[i], state[i]
-    if isinstance(s, Progression):
-        n = n + 1 if n < s.offset + s.period - 1 else s.offset
-    elif n == s:
-        return None
-    else:
-        n += 1
-    return state[:i] + (n,) + state[i + 1 :]
-
-
 def dpl_to_dfa(u: DplUnion, guard: int = STATE_GUARD_DEFAULT) -> Dfa:
-    """Product of per-term unary counters with disjunctive acceptance.
+    """The count grid of u (`grid`) as a DFA, states numbered in BFS order.
 
-    Each term's component is its tuple of per-letter counts, read against
-    the term's count sets: a progression's count wraps k+p-1 back to k, an
-    exact count's component dies past it, and a dead component stays dead.
-    States are numbered in BFS discovery order.
+    A state is a count vector collapsed per letter (`collapse`).  It carries
+    the mask of its live terms, those whose count sets can still hold its
+    counts (a progression, or an exact count not yet passed); a state with
+    none is the one dead state (key None).  A state is final when some live
+    term holds each of its counts.  Along a^n the counts below T_a + P_a - 1
+    are distinct live states; if they pass the guard, no table is built.
     """
-    sets = [t.sets for t in u.terms]
-    start = tuple((0,) * len(u.alphabet) for _ in sets)
-    number: dict[tuple, int] = {start: 0}
-    order = [start]
+    def refuse():
+        raise SizeGuardError(f"automaton guard exceeded: more than {guard} states",
+                             guard="states", limit=guard, observed=guard + 1)
+
+    limits = grid(u)
+    if any(top + period - 1 > guard for top, period in limits):
+        refuse()
+    live: list[list[int]] = []  # per letter and count, terms that can still hold it
+    accept: list[list[int]] = []  # per letter and count, terms that hold it
+    for (top, period), sets in zip(limits, zip(*(t.sets for t in u.terms))):
+        bits = [(1 << j, s) for j, s in enumerate(sets)]
+        live.append([sum(b for b, s in bits if isinstance(s, Progression) or s >= n)
+                     for n in range(top + period)])
+        accept.append([sum(b for b, s in bits if in_count_set(n, s)) for n in range(top + period)])
+    mask = (1 << len(u.terms)) - 1
+    start = (0,) * len(u.alphabet) if mask else None
+    number: dict[Optional[tuple[int, ...]], int] = {start: 0}
+    order = [(start, mask)]
     rows: list[list[int]] = [[] for _ in u.alphabet]
-    for state in order:
+    for q, mask in order:
         for i, row in enumerate(rows):
-            nxt = tuple(_term_step(c, s, i) for c, s in zip(sets, state))
+            nxt, m = None, 0
+            if q is not None:
+                n = collapse(q[i] + 1, limits[i])
+                m = mask & live[i][n]
+                if m:
+                    nxt = q[:i] + (n,) + q[i + 1 :]
             if nxt not in number:
                 if len(number) >= guard:
-                    raise SizeGuardError(
-                        f"automaton guard exceeded: more than {guard} states",
-                        guard="states",
-                        limit=guard,
-                        observed=len(number) + 1,
-                    )
+                    refuse()
                 number[nxt] = len(number)
-                order.append(nxt)
+                order.append((nxt, m))
             row.append(number[nxt])
     finals = frozenset([
-        number[state]
-        for state in order
-        if any(
-            s is not None and all(map(in_count_set, s, c)) for c, s in zip(sets, state)
-        )
+        k for k, (q, mask) in enumerate(order)
+        if q is not None and reduce(and_, (a[n] for a, n in zip(accept, q)), mask)
     ])
     return Dfa(u.alphabet, len(order), 0, finals, tuple([tuple(row) for row in rows]))
 

@@ -15,6 +15,7 @@ under iterated shuffle too when no term has a nonzero exact count;
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
@@ -33,6 +34,24 @@ CountSet = TUnion[Progression, int]
 def in_count_set(n: int, s: CountSet) -> bool:
     """Whether the count n lies in the count set s."""
     return n in s if isinstance(s, Progression) else n == s
+
+
+def grid(u: DplUnion) -> list[tuple[int, int]]:
+    """Per letter, the threshold T_a and period P_a of the count grid of u:
+    T_a lies past every offset and exact count of the letter, and P_a is the
+    lcm of its periods.  Counts from T_a on that agree modulo P_a lie in the
+    same count sets of every term, so a count vector collapses (`collapse`)."""
+    return [
+        (max(c.offset if isinstance(c, Progression) else c + 1 for c in sets),
+         math.lcm(*(c.period for c in sets if isinstance(c, Progression))))
+        for sets in zip(*(t.sets for t in u.terms))
+    ]
+
+
+def collapse(n: int, line: tuple[int, int]) -> int:
+    """The count n on a letter's line (T_a, P_a) of `grid`: T_a + (n - T_a) mod P_a from T_a on."""
+    top, period = line
+    return n if n < top else top + (n - top) % period
 
 
 def count_set_subset(s1: CountSet, s2: CountSet) -> bool:

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -180,23 +182,94 @@ def test_dpl_to_dfa_matches_membership():
         assert d.accepts(w) == dpl_union_member(parikh(w, AB), u)
 
 
+def random_count_set(rng):
+    pick = rng.randrange(3)
+    if pick == 0:
+        return 0
+    if pick == 1:
+        return rng.randint(1, 3)
+    return Progression(rng.randint(0, 3), rng.randint(1, 3))
+
+
+def grid_size(u):
+    """prod (T_a + P_a) of the count grid: T_a past every offset and exact
+    count of the letter, P_a the lcm of its periods."""
+    size = 1
+    for sets in zip(*(t.sets for t in u.terms)):
+        top = max(c.offset if isinstance(c, Progression) else c + 1 for c in sets)
+        size *= top + math.lcm(*(c.period for c in sets if isinstance(c, Progression)))
+    return size
+
+
 def test_dpl_to_dfa_matches_membership_with_exact_counts():
-    u = DplUnion.of(
-        AB,
-        [
-            DiagonalPeriodic.make(AB, {"a": Progression(1, 2)}, {"b": 2}),
-            DiagonalPeriodic.make(AB, {}, {"a": 1, "b": 1}),
-        ],
-    )
+    # the unminimized DFA, over unions mixing zeros, nonzero exact counts and
+    # progressions; the empty union is one rejecting state
+    rng = random.Random(59)
+    for alphabet, bound in ((AB, 8), (ABC, 5)):
+        unions = [DplUnion.empty(alphabet)]
+        for _ in range(40):
+            terms = [DiagonalPeriodic(alphabet, tuple(random_count_set(rng) for _ in alphabet))
+                     for _ in range(rng.randint(1, 4))]
+            unions.append(DplUnion.of(alphabet, terms))
+        for u in unions:
+            d = dpl_to_dfa(u)
+            assert d.n_states <= grid_size(u) + 1, u
+            for w in words_upto(alphabet, bound):
+                assert d.accepts(w) == dpl_union_member(parikh(w, alphabet), u), (u, w)
+        d = dpl_to_dfa(unions[0])
+        assert (d.n_states, d.finals) == (1, frozenset())
+
+
+def test_dead_terms_share_one_dead_state():
+    # a^30 | b^30: 31 counts of a with b at zero, 30 of b with a at zero, and
+    # one dead state for every vector both terms have passed, of a grid of 1024
+    u = DplUnion.of(AB, [DiagonalPeriodic.make(AB, {}, {"a": 30}),
+                         DiagonalPeriodic.make(AB, {}, {"b": 30})])
+    assert grid_size(u) == 1024
     d = dpl_to_dfa(u)
-    for w in words_upto(AB, 8):
-        assert d.accepts(w) == dpl_union_member(parikh(w, AB), u), w
+    assert d.n_states == 62
+    assert d.accepts("a" * 30) and d.accepts("b" * 30) and not d.accepts("ab")
+
+
+def test_intersection_chain_compiles_and_minimizes_fast():
+    # four & operands of three-letter F(x, r, n) unions: 54 terms
+    u = from_generators(GenIntersect(tuple(
+        GenUnion(tuple(Fmod(x, r, n) for x in "abc"))
+        for r, n in ((0, 2), (1, 3), (0, 5), (1, 2))
+    )), ABC)
+    assert len(u.terms) == 54
+    start = time.process_time()
+    d = dpl_to_dfa(u)
+    m = minimize(d)
+    assert (d.n_states, m.n_states) == (166375, 13500)
+    # a smoke bound in CPU seconds: about 1.5 here, 21 for a product of
+    # per-term counters
+    assert time.process_time() - start < 10
 
 
 def test_dpl_to_dfa_guard():
     u = from_generators(Fmod("a", 0, 50), AB)
     with pytest.raises(SizeGuardError):
         dpl_to_dfa(u, guard=10)
+
+
+def test_long_grid_line_is_refused_before_its_tables():
+    # each union reaches more than the guard's states along a^n alone, so it is
+    # refused at once instead of building a table of 10**9 counts
+    A = Alphabet.of("a")
+    for u in (from_generators(Fmod("a", 0, 10**9), A),
+              from_generators(Fcount("a", 10**9), A),
+              DplUnion.of(A, [DiagonalPeriodic.make(A, {}, {"a": 10**9})]),
+              from_generators(GenUnion(tuple(Fmod("a", 0, n) for n in (101, 103, 107, 109, 113))), A)):
+        with pytest.raises(SizeGuardError) as info:
+            dpl_to_dfa(u)
+        assert (info.value.limit, info.value.observed) == (250_000, 250_001)
+    # each line fits the guard, the grid does not: the walk refuses it
+    u = from_generators(GenIntersect((Fmod("a", 0, 5), Fmod("b", 0, 5))), AB)
+    with pytest.raises(SizeGuardError) as info:
+        dpl_to_dfa(u, guard=10)
+    assert (info.value.limit, info.value.observed) == (10, 11)
+    assert dpl_to_dfa(u, guard=25).n_states == 25
 
 
 def test_state_guard_carries_its_numbers():

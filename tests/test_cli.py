@@ -163,7 +163,7 @@ def test_dfa_json(capsys):
 
 
 def test_dfa_prints_pinned_bytes(capsys):
-    # the unminimized product of per-term counters, in BFS numbering
+    # the unminimized count grid, its dead state 3, in BFS numbering
     code, out, _ = run(capsys, "dfa", "--alphabet", "abc", "perm(ab) <> {a}*")
     assert code == 0
     assert out == (
