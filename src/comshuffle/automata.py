@@ -43,6 +43,8 @@ class Dfa:
     rows: tuple[Row, ...]
     # letter -> row, a view of `rows` for reading words
     table: dict[str, Row] = field(init=False, compare=False, repr=False)
+    # set by `minimize` on its result, which it then returns unchanged
+    minimal: bool = field(init=False, default=False, compare=False)
 
     def __post_init__(self):
         n = self.n_states
@@ -255,7 +257,10 @@ def dpl_to_dfa(u: DplUnion, guard: int = STATE_GUARD_DEFAULT) -> Dfa:
 def minimize(d: Dfa) -> Dfa:
     """Minimal complete DFA: complete with a sink, merge Nerode-equivalent
     states by Hopcroft's partition refinement, and renumber the blocks in
-    BFS order from the start state, which reaches only reachable blocks."""
+    BFS order from the start state, which reaches only reachable blocks.
+    The result is marked `minimal`; a marked input is returned unchanged."""
+    if d.minimal:
+        return d
     c = complete(d)
     block_of = _hopcroft(c)
     number = {block_of[c.start]: 0}
@@ -270,7 +275,9 @@ def minimize(d: Dfa) -> Dfa:
         tuple([number[block_of[row[q]]] for q in representative]) for row in c.rows
     ])
     finals = frozenset([i for i, q in enumerate(representative) if q in c.finals])
-    return Dfa(c.alphabet, len(representative), 0, finals, rows)
+    m = Dfa(c.alphabet, len(representative), 0, finals, rows)
+    object.__setattr__(m, "minimal", True)
+    return m
 
 
 def _hopcroft(c: Dfa) -> list[int]:
@@ -395,62 +402,52 @@ def equivalence_witness(d1: Dfa, d2: Dfa) -> Optional[str]:
 # --- extraction back to normal form ---------------------------------------
 
 
-def _reached(m: Dfa, sets: Sequence[CountSet]) -> set[int]:
-    """The states of the complete commutative DFA `m` that the count vectors
-    of a term (its count sets, in alphabet order) lead to from the start.
-
-    Commutativity lets the letters be read in alphabet order.  Letter by
-    letter, an exact count k moves every state k steps on the letter's row,
-    and a progression k + pN then adds the orbit of those states under p
-    more steps.
-    """
-
-    def step(q: int, row: Row, n: int) -> int:
-        for _ in range(n):
-            q = row[q]
-        return q
-
-    states = {m.start}
-    for row, s in zip(m.rows, sets):
-        if not isinstance(s, Progression):
-            states = {step(q, row, s) for q in states}
-            continue
-        states = {step(q, row, s.offset) for q in states}
-        todo = list(states)
-        while todo:
-            r = step(todo.pop(), row, s.period)
-            if r not in states:
-                states.add(r)
-                todo.append(r)
-    return states
+def _coordinates(s: CountSet, line: tuple[int, int]) -> Iterable[int]:
+    """The counts of the count set s collapsed on a letter's line (`collapse`):
+    one for an exact count k, the orbit of collapse(k) under +p for k + pN."""
+    if not isinstance(s, Progression):
+        return (collapse(s, line),)
+    orbit: dict[int, None] = {}
+    n = collapse(s.offset, line)
+    while n not in orbit:
+        orbit[n] = None
+        n = collapse(n + s.period, line)
+    return orbit
 
 
 def dfa_to_dpl(d: Dfa) -> DplUnion:
     """Extract a diagonal periodic union with no nonzero exact count (the
     positive class) from a commutative DFA, exact by construction.
 
-    In the minimal DFA m, letter a has the tail t_a and cycle c_a of its row
-    (`_rho`), so a count n >= t_a acts as t_a + (n - t_a) mod c_a: the
-    language is a union of collapse classes, one per point of the grid
-    counts < t_a + c_a, a count being exact below t_a and n + c_a·N from
-    it.  For each accepted point, in grid order, a term holding its class
-    is chosen: n + c_a·N from the tail, and below it the count zero, then
-    n + p·N for p = 1 .. t_a + c_a.  The first candidate whose reached
-    states (`_reached`) are all final is kept, and a point with none raises
-    `NotInPositiveClassError`.  A point whose class a kept term already
-    contains is skipped, so no kept term lies in another: an earlier one
-    would cover the later point's class, and a later one, whose offsets
+    In the minimal DFA m, the row f_a of letter a has the tail t_a and cycle
+    c_a of `_rho`, so f_a^t_a = f_a^(t_a + c_a) and a^n acts as a^collapse(n)
+    on the line (t_a, c_a).  Letters commute, so the state a count vector
+    reaches depends only on its collapse: a point of the grid of counts
+    < t_a + c_a.  The table `at` holds the state of every point, so a set of
+    vectors lies in L(d) exactly when every point it collapses to is final.
+    A term collapses to the product of its per-letter coordinates
+    (`_coordinates`).
+
+    L(d) is thus a union of collapse classes, one per final point, a count
+    being exact below t_a and n + c_a·N from it.  For each final point, in
+    grid order, a term holding its class is chosen: n + c_a·N from the tail,
+    and below it the count zero, then n + p·N for p = 1 .. t_a + c_a.  The
+    first candidate whose points are all final is kept, and a point with
+    none raises `NotInPositiveClassError`.  A point whose class a kept term
+    already contains is skipped, so no kept term lies in another: an earlier
+    one would cover the later point's class, and a later one, whose offsets
     are a later point, cannot hold an earlier point.
 
-    The union is exactly L(d): every term lies in L(d) since the states it
-    reaches are final, and every accepted vector lies in the class of an
-    accepted point, which a kept term contains.
+    The union is exactly L(d): every kept term lies in L(d) since its points
+    are final, and every accepted vector lies in the class of a final point,
+    which a kept term contains.
     """
     if not is_commutative(d):
         raise CriterionError("extraction requires a commutative automaton")
     m = minimize(d)
-    reps = [_rho(row) for row in m.rows]
-    total_grid = math.prod(tail + cycle for tail, cycle in reps)
+    lines = [_rho(row) for row in m.rows]
+    sizes = [tail + cycle for tail, cycle in lines]
+    total_grid = math.prod(sizes)
     if total_grid > EXTRACT_GRID_GUARD:
         raise SizeGuardError(
             f"extraction grid too large: {total_grid} points",
@@ -459,30 +456,43 @@ def dfa_to_dpl(d: Dfa) -> DplUnion:
             observed=total_grid,
         )
 
+    # the state of every point in `product` order: with the first letter's
+    # count n, the block of the later letters' points is f^n of the block for 0
+    at = [m.start]
+    for row, size in zip(reversed(m.rows), reversed(sizes)):
+        block, at = at, at[:]
+        for _ in range(1, size):
+            block = [row[q] for q in block]
+            at += block
+    final = [q in m.finals for q in at]
+    strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+
+    def holds(sets: Sequence[CountSet]) -> bool:
+        offsets = [[n * stride for n in _coordinates(s, line)]
+                   for s, line, stride in zip(sets, lines, strides)]
+        return all(final[p] for p in map(sum, product(*offsets)))
+
     terms: list[DiagonalPeriodic] = []
-    for counts in product(*(range(tail + cycle) for tail, cycle in reps)):
-        collapse = [
-            n if n < tail else Progression(n, cycle) for n, (tail, cycle) in zip(counts, reps)
-        ]
-        if any(all(map(count_set_subset, collapse, t.sets)) for t in terms):
+    for point, counts in enumerate(product(*map(range, sizes))):
+        if not final[point]:
             continue
-        if not _reached(m, counts) <= m.finals:
+        cls = [n if n < tail else Progression(n, cycle)
+               for n, (tail, cycle) in zip(counts, lines)]
+        if any(all(map(count_set_subset, cls, t.sets)) for t in terms):
             continue
         choices: list[list[CountSet]] = []
-        for n, (tail, cycle) in zip(counts, reps):
+        for n, (tail, cycle) in zip(counts, lines):
             if n >= tail:
                 choices.append([Progression(n, cycle)])
             else:
                 opts: list[CountSet] = [Progression(n, p) for p in range(1, tail + cycle + 1)]
                 choices.append([0] + opts if n == 0 else opts)
-        for sets in product(*choices):
-            if _reached(m, sets) <= m.finals:
-                terms.append(DiagonalPeriodic(m.alphabet, sets))
-                break
-        else:
+        sets = next(filter(holds, product(*choices)), None)
+        if sets is None:
             raise NotInPositiveClassError(
                 f"no diagonal periodic term fits the accepted point {counts}"
             )
+        terms.append(DiagonalPeriodic(m.alphabet, sets))
     return DplUnion.of(m.alphabet, terms)
 
 

@@ -204,10 +204,18 @@ _BINARY = {
 def _iterated_shuffle(child: DplUnion | FiniteLang | Closure) -> DplUnion | Closure:
     """The exact fold of `union_iterated_shuffle`, on a union or on a word
     set's Parikh image; a closure it proves not regular, or cannot decide,
-    stays a `Closure`.  A closure is its own iterated shuffle."""
+    stays a `Closure`.  A closure is its own iterated shuffle.
+
+    A word set F takes the Parikh route only where sh*(F) is commutative:
+    F is permutation closed, or F holds the one-letter word of every letter
+    it uses, so that sh*(F) is all words over those letters.  Any other word
+    set is outside the fragment (sh*({ab}) holds ab but not ba)."""
     if isinstance(child, Closure):
         return child
-    u = _finite_union(child) if isinstance(child, FiniteLang) else child
+    if isinstance(child, FiniteLang) and set("".join(child.words)) <= set(child.words):
+        u = _finite_union(child)
+    else:
+        u = _as_union(child, "iterated shuffle")
     try:
         return union_iterated_shuffle(u)
     except (NonRegularError, UndecidedError) as err:

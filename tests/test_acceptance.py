@@ -97,7 +97,7 @@ def words_upto(alphabet: Alphabet, n: int):
 
 def test_criterion_01_equal_count_identity():
     start = time.monotonic()
-    expr, _ = parse("sh*({ab})", AB)
+    expr, _ = parse("sh*(perm(ab))", AB)
     value = eval_expr(expr, AB)
     for w in words_upto(AB, WORD_IDENTITY_LEN):
         assert _member_word(value, w) == (w.count("a") == w.count("b")), w

@@ -565,7 +565,28 @@ def test_extraction_is_exact_or_refused():
         assert not any(t.exact for t in u.terms)
         assert maximal_terms(u) == u
         assert equivalence_witness(minimize(d), dpl_to_dfa(u)) is None
+        assert dfa_to_dpl(minimize(d)).terms == u.terms
     assert 300 < extracted < len(machines)
+
+
+def test_minimize_returns_its_own_output_unchanged():
+    rng = random.Random(7)
+    for _ in range(30):
+        m = minimize(dpl_to_dfa(random_term_union(rng, ABC)))
+        assert minimize(m) is m
+        # an unmarked copy of a minimal DFA is minimized again, to itself
+        copy = dfa_from_dict(dfa_to_dict(m))
+        assert not copy.minimal
+        assert minimize(copy) == m
+
+
+def test_extraction_of_a_long_threshold_is_one_term():
+    # F(a,4000): the a row has a tail of 4000, and every point below it is
+    # rejected by one table lookup
+    m = minimize(dpl_to_dfa(from_generators(Fcount("a", 4000), AB)))
+    assert dfa_to_dpl(m).terms == (
+        DiagonalPeriodic(AB, (Progression(4000, 1), Progression(0, 1))),
+    )
 
 
 def test_extraction_skips_a_covered_class():

@@ -24,13 +24,13 @@ def run(capsys, *argv):
 
 
 def test_member_equal_counts(capsys):
-    code, out, _ = run(capsys, "member", "--alphabet", "ab", "abba", "sh*({ab})")
+    code, out, _ = run(capsys, "member", "--alphabet", "ab", "abba", "sh*(perm(ab))")
     assert code == 0
     assert out.strip() == "true"
 
 
 def test_member_unbalanced(capsys):
-    code, out, _ = run(capsys, "member", "--alphabet", "ab", "aab", "sh*({ab})")
+    code, out, _ = run(capsys, "member", "--alphabet", "ab", "aab", "sh*(perm(ab))")
     assert code == 0
     assert out.strip() == "false"
 
@@ -43,7 +43,7 @@ def test_member_finite_set_is_literal(capsys):
 
 def test_member_of_a_long_word_in_a_closure(capsys):
     word = "a" * 1500 + "b" * 1500
-    code, out, _ = run(capsys, "member", "--alphabet", "ab", word, "sh*({ab})")
+    code, out, _ = run(capsys, "member", "--alphabet", "ab", word, "sh*(perm(ab))")
     assert code == 0
     assert out.strip() == "true"
 
@@ -78,6 +78,36 @@ def test_word_set_that_is_not_permutation_closed_needs_no_union(capsys, command,
     code, out, err = run(capsys, command, "--alphabet", "ab", expr)
     assert (code, out) == (3, "")
     assert "a word set that is not permutation closed is outside the implemented fragment" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member", "--alphabet", "ab", "ba", "sh*({ab})"],
+        ["normalize", "--alphabet", "ab", "sh*({ab}) & {ba}"],
+        ["check", "--alphabet", "ab", "--bound", "6", "sh*({ab})"],
+        ["member", "--alphabet", "ab", "bb", "sh*({a,ab})"],
+    ],
+)
+def test_iterated_shuffle_of_a_word_set_that_is_not_permutation_closed(capsys, argv):
+    # every word of sh*({ab}) starts with a: its Parikh image would hold ba
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "iterated shuffle of a word set that is not permutation closed" in err
+
+
+@pytest.mark.parametrize(
+    "expr, word, found",
+    [
+        # {ab,a,b} holds the one-letter word of each letter: its closure is {a,b}*
+        ("sh*({ab,a,b})", "ba", "true"),
+        ("sh*({ab,a,b})", "bba", "true"),
+        ("sh*(perm(ab))", "ba", "true"),
+        ("sh*(perm(ab))", "aab", "false"),
+    ],
+)
+def test_iterated_shuffle_of_a_commutative_word_set(capsys, expr, word, found):
+    assert run(capsys, "member", "--alphabet", "ab", word, expr)[:2] == (0, found + "\n")
 
 
 CLAUSE_CHAIN = " & ".join(
@@ -138,7 +168,7 @@ def test_alphabet_statement_in_expression(capsys):
 
 
 def test_regular_verdict_for_balanced_pair(capsys):
-    code, out, _ = run(capsys, "regular", "--alphabet", "ab", "sh*({ab})")
+    code, out, _ = run(capsys, "regular", "--alphabet", "ab", "sh*(perm(ab))")
     assert code == 0
     data = json.loads(out)
     assert data["regular"] is False
@@ -330,8 +360,8 @@ def test_unknown_letter_exit_code(capsys):
 
 
 def test_fragment_exit_code(capsys):
-    # the closure of {ab} is not regular, so no normal form exists
-    code, _, err = run(capsys, "normalize", "--alphabet", "ab", "sh*({ab})")
+    # the closure of perm(ab) is not regular, so no normal form exists
+    code, _, err = run(capsys, "normalize", "--alphabet", "ab", "sh*(perm(ab))")
     assert code == 3
 
 
@@ -343,11 +373,13 @@ def test_guard_exit_code(capsys):
 
 
 def test_check_builds_the_parikh_image_once(capsys, monkeypatch):
-    # the Parikh image of {ab,bc,ca} is built once, not once per vector
+    # the Parikh image of {ab,ba,bc,cb,ca,ac} is built once, not once per vector
     calls = []
     build = cli._finite_union
     monkeypatch.setattr(cli, "_finite_union", lambda lang: calls.append(lang) or build(lang))
-    code, out, _ = run(capsys, "check", "--alphabet", "abc", "--bound", "6", "sh*({ab,bc,ca})")
+    code, out, _ = run(
+        capsys, "check", "--alphabet", "abc", "--bound", "6", "sh*({ab,ba,bc,cb,ca,ac})"
+    )
     assert code == 0
     assert out.startswith("PASS")
     assert len(calls) == 1
@@ -359,7 +391,9 @@ def test_check_folds_a_closure_once(capsys, monkeypatch):
     calls = []
     fold = aperiodic.fold_linear_sets
     monkeypatch.setattr(aperiodic, "fold_linear_sets", lambda u: calls.append(u) or fold(u))
-    code, out, _ = run(capsys, "check", "--alphabet", "abc", "--bound", "9", "sh*({ab,bc,aac})")
+    code, out, _ = run(
+        capsys, "check", "--alphabet", "abc", "--bound", "9", "sh*({ab,ba,bc,cb,aac,aca,caa})"
+    )
     assert code == 0
     assert out.startswith("PASS")
     assert len(calls) == 1
@@ -387,7 +421,7 @@ def test_two_calls_build_one_parser(capsys, monkeypatch):
 def test_closure_member_guard_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 50)
     word = "a" * 10 + "b" * 21 + "c" * 10
-    code, out, err = run(capsys, "member", "--alphabet", "abc", word, "sh*({ab,bc})")
+    code, out, err = run(capsys, "member", "--alphabet", "abc", word, "sh*({ab,ba,bc,cb})")
     assert code == 4
     assert out == ""
     assert "closure membership guard" in err
@@ -395,7 +429,8 @@ def test_closure_member_guard_exit_code(capsys, monkeypatch):
 
 def test_representation_guard_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(regularity, "REPRESENTATION_OFFSET_GUARD", 5)
-    code, out, err = run(capsys, "regular", "--alphabet", "ab", "sh*({aaaaa,bbbbb,ab,aab,abb})")
+    expr = "sh*({aaaaa,bbbbb,ab,ba,aab,aba,baa,abb,bab,bba})"
+    code, out, err = run(capsys, "regular", "--alphabet", "ab", expr)
     assert code == 4
     assert out == ""
     assert "representation guard" in err
@@ -464,14 +499,15 @@ def test_member_of_a_closure_proven_not_regular(capsys):
 
 def test_member_of_the_closure_of_twelve_words_answers_quickly(capsys):
     words = "ab,ac,bc,aab,abb,aac,acc,bbc,bcc,abc,aabb,aacc"
+    expr = "sh*(%s)" % " | ".join(f"perm({w})" for w in words.split(","))
     start = time.monotonic()
-    code, out, _ = run(capsys, "member", "--alphabet", "abc", "aabbcc", "sh*({%s})" % words)
+    code, out, _ = run(capsys, "member", "--alphabet", "abc", "aabbcc", expr)
     assert time.monotonic() - start < 5
     assert (code, out) == (0, "true\n")
 
 
 def test_word_set_verdict_names_its_subalphabet(capsys):
-    code, out, _ = run(capsys, "regular", "--alphabet", "abc", "sh*({ab,c})")
+    code, out, _ = run(capsys, "regular", "--alphabet", "abc", "sh*({ab,ba,c})")
     assert code == 0
     assert json.loads(out) == {
         "regular": False, "witness": "a", "subalphabet": ["a", "b"], "representation": None
@@ -479,7 +515,7 @@ def test_word_set_verdict_names_its_subalphabet(capsys):
 
 
 def test_a_closure_is_its_own_iterated_shuffle(capsys):
-    code, out, _ = run(capsys, "member", "--alphabet", "ab", "abab", "sh*(sh*({ab}))")
+    code, out, _ = run(capsys, "member", "--alphabet", "ab", "abab", "sh*(sh*(perm(ab)))")
     assert (code, out) == (0, "true\n")
 
 
@@ -491,7 +527,7 @@ def test_projection_of_a_closure_is_the_closure_of_the_projection(capsys):
         "alphabet": ["a"], "terms": [{"progs": {"a": {"k": 0, "p": 2}}, "support": ["a"]}]
     }
     # a projection that stays not regular is a closure value
-    expr = "project(sh*({ab,c}), {a,b})"
+    expr = "project(sh*({ab,ba,c}), {a,b})"
     assert run(capsys, "member", "--alphabet", "abc", "abab", expr)[:2] == (0, "true\n")
     assert run(capsys, "member", "--alphabet", "abc", "aab", expr)[:2] == (0, "false\n")
     code, out, _ = run(capsys, "check", "--alphabet", "abc", "--bound", "6", expr)
@@ -501,6 +537,6 @@ def test_projection_of_a_closure_is_the_closure_of_the_projection(capsys):
 
 
 def test_a_closure_without_a_normal_form_has_no_automaton(capsys):
-    code, _, err = run(capsys, "dfa", "--alphabet", "ab", "sh*({ab})")
+    code, _, err = run(capsys, "dfa", "--alphabet", "ab", "sh*(perm(ab))")
     assert code == 3
     assert "not regular" in err
