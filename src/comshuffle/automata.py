@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 from operator import and_
 from typing import Iterable, Mapping, Optional, Sequence
@@ -34,7 +34,11 @@ class Dfa:
     """`rows[i][q]` is the successor of state q on the i-th letter, None
     where the transition is missing; `delta` derives the triples of the JSON
     and DOT output from them.  Rows are built as `tuple([...])`: built from
-    generators, they raised the automata bench's peak RSS by 8%."""
+    generators, they raised the automata bench's peak RSS by 8%.
+
+    `run` and `accepts` read a word through the bare rows.  The analysis the
+    predicates, the projection and the extraction share, `commutative` and
+    the per-letter `lines`, is computed once per DFA object, on first use."""
 
     alphabet: Alphabet
     n_states: int
@@ -91,15 +95,17 @@ class Dfa:
                              for q, r in enumerate(row) if r is not None]))
 
     def run(self, w: str) -> Optional[int]:
-        q: Optional[int] = self.start
+        """The state w leads to, or None when it leaves the DFA: a letter
+        outside the alphabet (KeyError), or a step from a missing transition
+        (TypeError, as the row is indexed by None).  A missing transition on
+        the last letter yields None from the row itself."""
+        q = self.start
         table = self.table
-        for a in w:
-            row = table.get(a)
-            if row is None:
-                return None
-            q = row[q]
-            if q is None:
-                return None
+        try:
+            for a in w:
+                q = table[a][q]
+        except (KeyError, TypeError):
+            return None
         return q
 
     def accepts(self, w: str) -> bool:
@@ -107,6 +113,24 @@ class Dfa:
 
     def is_complete(self) -> bool:
         return all(None not in row for row in self.rows)
+
+    @cached_property
+    def commutative(self) -> bool:
+        """δ(q, ab) = δ(q, ba) for all states and letter pairs; an undefined
+        composite on both sides counts as equal."""
+        rows = self.rows
+        for i, fa in enumerate(rows):
+            for fb in rows[i + 1 :]:
+                for x, y in zip(fa, fb):
+                    if (None if x is None else fb[x]) != (None if y is None else fa[y]):
+                        return False
+        return True
+
+    @cached_property
+    def lines(self) -> tuple[tuple[int, int], ...]:
+        """The tail and cycle (`_rho`) of each letter's row in the completed
+        DFA, in alphabet order."""
+        return tuple([_rho(row) for row in complete(self).rows])
 
 
 def complete(d: Dfa) -> Dfa:
@@ -121,14 +145,8 @@ def complete(d: Dfa) -> Dfa:
 
 
 def is_commutative(d: Dfa) -> bool:
-    """δ(q, ab) = δ(q, ba) for all states and letter pairs; an undefined
-    composite on both sides counts as equal."""
-    for i, fa in enumerate(d.rows):
-        for fb in d.rows[i + 1 :]:
-            for x, y in zip(fa, fb):
-                if (None if x is None else fb[x]) != (None if y is None else fa[y]):
-                    return False
-    return True
+    """`Dfa.commutative`, computed once per DFA."""
+    return d.commutative
 
 
 def _rho(f: tuple[int, ...]) -> tuple[int, int]:
@@ -163,9 +181,9 @@ def _rho(f: tuple[int, ...]) -> tuple[int, int]:
 def is_aperiodic(d: Dfa) -> bool:
     """Per-letter f^n = f^{n+1} check.  Only valid for commutative machines,
     where aperiodicity reduces to the letter actions."""
-    if not is_commutative(d):
+    if not d.commutative:
         raise CriterionError("aperiodicity check requires a commutative automaton")
-    return all(cycle == 1 for _, cycle in map(_rho, complete(d).rows))
+    return all(cycle == 1 for _, cycle in d.lines)
 
 
 def is_permutation(d: Dfa) -> bool:
@@ -191,10 +209,9 @@ class AutomatonReport:
 
 
 def report(d: Dfa) -> AutomatonReport:
-    commutative = is_commutative(d)
     return AutomatonReport(
-        commutative=commutative,
-        aperiodic=is_aperiodic(d) if commutative else False,
+        commutative=d.commutative,
+        aperiodic=d.commutative and is_aperiodic(d),
         permutation=is_permutation(d),
         state_count=d.n_states,
         complete=d.is_complete(),
@@ -338,7 +355,7 @@ def project_automaton(d: Dfa, keep: Iterable[str]) -> Dfa:
     """Projection for commutative machines: keep only transitions on the
     retained letters, and make a state final when some word over the dropped
     letters leads from it to a final state."""
-    if not is_commutative(d):
+    if not d.commutative:
         raise CriterionError("projection construction requires a commutative automaton")
     keep = set(keep)
     sub = d.alphabet.restrict(keep)
@@ -421,9 +438,11 @@ def dfa_to_dpl(d: Dfa) -> DplUnion:
 
     In the minimal DFA m, the row f_a of letter a has the tail t_a and cycle
     c_a of `_rho`, so f_a^t_a = f_a^(t_a + c_a) and a^n acts as a^collapse(n)
-    on the line (t_a, c_a).  Letters commute, so the state a count vector
-    reaches depends only on its collapse: a point of the grid of counts
-    < t_a + c_a.  The table `at` holds the state of every point, so a set of
+    on the line (t_a, c_a).  The lines are `m.lines`, computed once per DFA
+    object: on a DFA that `minimize` returned, `is_aperiodic` and `report`
+    read the same ones, as all three read its `commutative`.  Letters
+    commute, so the state a count vector reaches depends only on its
+    collapse: a point of the grid of counts < t_a + c_a.  The table `at` holds the state of every point, so a set of
     vectors lies in L(d) exactly when every point it collapses to is final.
     A term collapses to the product of its per-letter coordinates
     (`_coordinates`).
@@ -442,10 +461,10 @@ def dfa_to_dpl(d: Dfa) -> DplUnion:
     are final, and every accepted vector lies in the class of a final point,
     which a kept term contains.
     """
-    if not is_commutative(d):
+    if not d.commutative:
         raise CriterionError("extraction requires a commutative automaton")
     m = minimize(d)
-    lines = [_rho(row) for row in m.rows]
+    lines = m.lines
     sizes = [tail + cycle for tail, cycle in lines]
     total_grid = math.prod(sizes)
     if total_grid > EXTRACT_GRID_GUARD:

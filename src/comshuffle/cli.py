@@ -360,6 +360,12 @@ def _canonical_json(data: dict) -> str:
 
 
 def _resolve(args) -> tuple[Expr, Alphabet]:
+    """The parsed expression and its alphabet; a negative guard is refused
+    (exit 2) before anything is parsed."""
+    for flag, guard in (("--guard-clauses", args.guard_clauses),
+                        ("--guard-states", args.guard_states)):
+        if guard < 0:
+            raise ValueError(f"{flag} must be non-negative, got {guard}")
     alphabet = Alphabet.of(args.alphabet) if args.alphabet else None
     return parse(args.expr, alphabet)
 

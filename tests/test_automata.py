@@ -1,10 +1,12 @@
 import math
 import random
 import time
+from functools import cached_property
 from itertools import combinations, product
 
 import pytest
 
+from comshuffle import automata
 from comshuffle.automata import (
     EXTRACT_GRID_GUARD,
     Dfa,
@@ -77,6 +79,50 @@ def test_missing_transition_rejects():
     d = Dfa.make(AB, 1, 0, [0], {(0, "a"): 0})
     assert d.accepts("aa")
     assert not d.accepts("ab")
+
+
+def walk(start, delta, w):
+    """The state w leads to from `start` through the `(state, letter) -> next`
+    mapping, one step at a time; None once a step is missing."""
+    q = start
+    for a in w:
+        if (q, a) not in delta:
+            return None
+        q = delta[q, a]
+    return q
+
+
+@pytest.mark.parametrize("letters", ["ab", "abc"])
+def test_run_and_accepts_agree_with_a_step_by_step_walk(letters):
+    rng = random.Random(29)
+    alphabet = Alphabet.of(letters)
+    # "z" lies outside the alphabet
+    symbols = letters + "z"
+    last_step_missing = 0
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        keep = rng.choice((0.6, 0.85, 1.0))
+        delta = {(q, a): rng.randrange(n) for q in range(n) for a in letters
+                 if rng.random() < keep}
+        start = rng.randrange(n)
+        finals = frozenset(q for q in range(n) if rng.random() < 0.5)
+        d = Dfa.make(alphabet, n, start, finals, delta)
+        words = ["", "z", letters[0] + "z", "z" + letters[0]]
+        words += ["".join(rng.choice(symbols) for _ in range(rng.randint(0, 6)))
+                  for _ in range(60)]
+        # a word ending on a missing transition: reach a state that lacks a
+        # letter, then read that letter
+        for w in list(words):
+            q = walk(start, delta, w)
+            if q is not None and len(w) < 6:
+                words += [w + a for a in letters if (q, a) not in delta]
+        for w in words:
+            expected = walk(start, delta, w)
+            assert d.run(w) == expected, (delta, start, w)
+            assert d.accepts(w) == (expected in finals), (delta, start, w)
+            if expected is None and w and walk(start, delta, w[:-1]) is not None:
+                last_step_missing += w[-1] in letters
+    assert last_step_missing > 100
 
 
 def test_complete_adds_sink():
@@ -578,6 +624,38 @@ def test_minimize_returns_its_own_output_unchanged():
         copy = dfa_from_dict(dfa_to_dict(m))
         assert not copy.minimal
         assert minimize(copy) == m
+
+
+def _outcome(f, d):
+    try:
+        return f(d)
+    except (CriterionError, NotInPositiveClassError) as err:
+        return type(err), str(err)
+
+
+def test_the_analysis_of_a_dfa_runs_once(monkeypatch):
+    # report, then extraction, on a minimized DFA: one commutativity check
+    # and one `_rho` per letter between them
+    rhos, checks = [], []
+    real_rho, real_check = automata._rho, Dfa.commutative.func
+    monkeypatch.setattr(automata, "_rho", lambda f: rhos.append(f) or real_rho(f))
+    counted = cached_property(lambda d: checks.append(d) or real_check(d))
+    counted.__set_name__(Dfa, "commutative")
+    monkeypatch.setattr(Dfa, "commutative", counted)
+    rng = random.Random(31)
+    asks = (report, is_aperiodic, dfa_to_dpl)
+    for _ in range(40):
+        m = minimize(dpl_to_dfa(random_term_union(rng, rng.choice((AB, ABC)))))
+        rhos.clear()
+        checks.clear()
+        first = [_outcome(f, m) for f in asks]
+        assert len(rhos) == len(m.alphabet)
+        assert checks == [m]
+        # an uncached copy, asked in the other order, answers the same
+        copy = dfa_from_dict(dfa_to_dict(m))
+        assert "lines" not in vars(copy) and "commutative" not in vars(copy)
+        assert [_outcome(f, copy) for f in reversed(asks)][::-1] == first
+        assert [_outcome(f, m) for f in reversed(asks)][::-1] == first
 
 
 def test_extraction_of_a_long_threshold_is_one_term():

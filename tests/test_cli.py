@@ -297,6 +297,25 @@ def test_check_refuses_a_negative_bound(capsys):
     assert "--bound must be non-negative" in err
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (("dfa", "--guard-states", "-1"), "--guard-states", -1),
+    (("normalize", "--guard-clauses", "-5"), "--guard-clauses", -5),
+    (("report", "--guard-states", "-3"), "--guard-states", -3),
+    (("member", "--guard-clauses", "-1", "a"), "--guard-clauses", -1),
+])
+def test_a_negative_guard_is_refused(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv[:3], "--alphabet", "ab", *argv[3:], "F(a,1)")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: {flag} must be non-negative, got {value}"
+
+
+def test_a_zero_guard_is_accepted_and_fires(capsys):
+    code, _, err = run(capsys, "dfa", "--guard-states", "0", "--alphabet", "ab", "F(a,1)")
+    assert code == 4
+    assert "more than 0 states" in err
+
+
 def test_check_bound_guard_fires_before_any_enumeration(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated past the check bound guard")
