@@ -17,11 +17,13 @@ computation reports it undecided.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .dpl import (
     DiagonalPeriodic,
@@ -37,7 +39,7 @@ from .dpl import (
     maximal_terms,
 )
 from .errors import NonRegularError, SizeGuardError, UndecidedError
-from .progressions import Progression
+from .progressions import Progression, semigroup_elements
 from .regularity import closure_terms
 from .words import Alphabet, ParikhVector, word_of
 
@@ -151,12 +153,16 @@ def _is_unary(p: Vector) -> bool:
     return sum(1 for x in p if x) == 1
 
 
-def _reach(sources: Iterable[Vector], nexts) -> set[Vector]:
-    """The vectors that `nexts` leads to from `sources`, these included."""
+def _walk(sources: Iterable[Vector], nexts) -> Iterator[Vector]:
+    """The vectors that `nexts` leads to from `sources`, these included, each
+    yielded once as the search takes it up.  Finding more than
+    CLOSURE_MEMBER_STATE_GUARD of them trips the closure_member_states guard."""
     seen = set(sources)
     todo = list(seen)
     while todo:
-        for n in nexts(todo.pop()):
+        v = todo.pop()
+        yield v
+        for n in nexts(v):
             if n not in seen:
                 seen.add(n)
                 todo.append(n)
@@ -164,17 +170,76 @@ def _reach(sources: Iterable[Vector], nexts) -> set[Vector]:
             raise SizeGuardError.over(
                 "closure membership", "closure_member_states", CLOSURE_MEMBER_STATE_GUARD, len(seen)
             )
-    return seen
+
+
+def _reach(sources: Iterable[Vector], nexts) -> set[Vector]:
+    """The vectors that `nexts` leads to from `sources`, these included."""
+    return set(_walk(sources, nexts))
+
+
+@lru_cache(maxsize=1024)
+def _split(
+    gens: frozenset[Vector], n: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[Vector, ...]]:
+    """Per letter of n, the sorted counts of the unary generators on it; and
+    the other generators."""
+    units: list[set[int]] = [set() for _ in range(n)]
+    walked = []
+    for g in gens:
+        (i, x), *more = [(i, x) for i, x in enumerate(g) if x]
+        if more:
+            walked.append(g)
+        else:
+            units[i].add(x)
+    return tuple(tuple(sorted(u)) for u in units), tuple(walked)
+
+
+@lru_cache(maxsize=256)
+def _small_sums(periods: tuple[int, ...], limit: int) -> frozenset[int]:
+    """The sums of the periods below limit."""
+    return frozenset(semigroup_elements(periods, limit))
+
+
+def _sum_of(x: int, periods: tuple[int, ...]) -> bool:
+    """Whether the count x >= 0 is a sum of the sorted periods (none: x = 0).
+
+    With g their gcd, x must be a multiple of g, and x/g a sum of the periods
+    divided by g.  Every number from (p_min/g - 1)(p_max/g - 1) on is one
+    (Schur's bound on the Frobenius number); below it, the semigroup's
+    elements listed up to that bound say.
+    """
+    if len(periods) < 2:
+        return x % periods[0] == 0 if periods else x == 0
+    g = math.gcd(*periods)
+    if x % g:
+        return False
+    x //= g
+    schur = (periods[0] // g - 1) * (periods[-1] // g - 1)
+    return x >= schur or x in _small_sums(tuple(p // g for p in periods), schur)
 
 
 def _in_monoid(d: Vector, gens: frozenset[Vector]) -> bool:
-    """Whether d is a sum of vectors of gens (non-zero, non-negative), by a
-    search over the remainders, of which there are at most ∏ (d_a + 1)."""
+    """Whether d is a sum of vectors of gens (non-zero, non-negative).
+
+    The generators split into unary ones, non-zero on one letter, and the
+    rest.  The search takes off sums of the rest, visiting the remainders r
+    >= 0 (at most ∏ (d_a + 1), and counted by the closure_member_states
+    guard), and stops at the first one each of whose counts is a sum of that
+    letter's unary generators, or 0 on a letter without one.  A count is
+    tested by arithmetic (`_sum_of`): a multiple of the periods' gcd g is a
+    sum of them from Schur's bound (p_min/g - 1)(p_max/g - 1) on, and below
+    it a table of the sums under that bound says; no table grows with d.
+    """
+    if not any(d) or d in gens:
+        return True
+    if min(d) < 0:
+        return False
+    units, walked = _split(gens, len(d))
 
     def steps(r: Vector) -> list[Vector]:
-        return [n for n in (_minus(r, g) for g in gens) if min(n) >= 0]
+        return [n for n in (_minus(r, g) for g in walked) if min(n) >= 0]
 
-    return not any(d) or d in gens or min(d) >= 0 and (0,) * len(d) in _reach([d], steps)
+    return any(all(map(_sum_of, r, units)) for r in _walk([d], steps))
 
 
 def _term_linear(t: DiagonalPeriodic) -> Linear:

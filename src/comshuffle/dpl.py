@@ -193,18 +193,45 @@ def term_subset(t1: DiagonalPeriodic, t2: DiagonalPeriodic) -> bool:
     return all(map(count_set_subset, t1.sets, t2.sets))
 
 
-def maximal_terms(u: DplUnion) -> DplUnion:
-    """The union without the terms that another of its terms contains.
+def _size_key(t: DiagonalPeriodic) -> tuple[int, int, int]:
+    """The sum of the least counts, the number of exact counts and the product
+    of the periods of a term."""
+    least, exact, periods = 0, 0, 1
+    for s in t.sets:
+        if isinstance(s, Progression):
+            least += s.offset
+            periods *= s.period
+        else:
+            least += s
+            exact += 1
+    return least, exact, periods
 
-    Distinct terms denote distinct languages, so the kept terms are the
-    maximal ones whatever the order; they keep the order they have in u.
+
+def maximal_terms(u: DplUnion) -> DplUnion:
+    """The union without the terms that another of its terms contains; the
+    kept terms keep their order in u, and u itself is returned when none is
+    dropped.
+
+    One pass over the terms sorted by `_size_key` tests each against the kept
+    ones, since a term t2 that contains another term t1 has a strictly
+    smaller key.  Letter by letter, t2's count set holds t1's: its least
+    count is no larger, it is an exact count only where t1's is, and where
+    both are progressions its period divides t1's.  So t2 has no larger sum
+    of least counts and no more exact counts.  If both are equal, every least
+    count is equal and the exact counts sit on the same letters, so each
+    period of t2 divides t1's, and the products are equal only if t1 = t2.
+    A term that some term contains is therefore contained in a kept one
+    taken before it (containment is transitive), and a kept term is
+    contained in none.
     """
     kept: list[DiagonalPeriodic] = []
-    for t in u.terms:
+    for t in sorted(u.terms, key=_size_key):
         if not any(term_subset(t, k) for k in kept):
-            kept = [k for k in kept if not term_subset(k, t)]
             kept.append(t)
-    return DplUnion(u.alphabet, tuple(kept))
+    if len(kept) == len(u.terms):
+        return u
+    keep = set(kept)
+    return DplUnion(u.alphabet, tuple(t for t in u.terms if t in keep))
 
 
 def dpl_union(u1: DplUnion, u2: DplUnion) -> DplUnion:

@@ -52,7 +52,8 @@ class CongruenceSystem:
 
 
 def _merge(r1: int, m1: int, r2: int, m2: int) -> Optional[tuple[int, int]]:
-    """Combine x≡r1 (mod m1) and x≡r2 (mod m2) into one congruence, or None."""
+    """Combine x≡r1 (mod m1) and x≡r2 (mod m2), for any integers r1 and r2,
+    into one congruence (r, lcm) with 0 <= r < lcm, or None."""
     g = math.gcd(m1, m2)
     if (r2 - r1) % g != 0:
         return None
@@ -74,10 +75,13 @@ def crt_solve(system: CongruenceSystem) -> Optional[tuple[int, int]]:
 
 
 def prog_intersect(p1: Progression, p2: Progression) -> Optional[Progression]:
-    """Intersection of two progressions; None when empty."""
-    solved = crt_solve(
-        CongruenceSystem(((p1.offset % p1.period, p1.period), (p2.offset % p2.period, p2.period)))
-    )
+    """Intersection of two progressions; None when empty.
+
+    Counts in both are congruent to each offset modulo its period: one
+    `_merge` of the two congruences gives them as r + m·N, and the least one
+    from the larger offset on starts the result.
+    """
+    solved = _merge(p1.offset, p1.period, p2.offset, p2.period)
     if solved is None:
         return None
     r, m = solved
@@ -85,13 +89,13 @@ def prog_intersect(p1: Progression, p2: Progression) -> Optional[Progression]:
     return Progression(base + (r - base) % m, m)
 
 
-def _semigroup_elements(a: int, b: int, limit: int) -> list[int]:
-    """Elements of the numerical semigroup <a, b> below `limit`."""
+def semigroup_elements(gens: Sequence[int], limit: int) -> list[int]:
+    """Elements of the numerical semigroup generated by `gens` below `limit`."""
     reachable = [False] * max(limit, 1)
     if limit > 0:
         reachable[0] = True
         for n in range(1, limit):
-            reachable[n] = (n >= a and reachable[n - a]) or (n >= b and reachable[n - b])
+            reachable[n] = any(n >= g and reachable[n - g] for g in gens)
     return [n for n in range(limit) if reachable[n]]
 
 
@@ -115,6 +119,6 @@ def prog_product(p1: Progression, p2: Progression) -> tuple[Progression, ...]:
     g = math.gcd(p1.period, p2.period)
     a, b = p1.period // g, p2.period // g
     conductor = 0 if a == 1 or b == 1 else (a - 1) * (b - 1)
-    result = [Progression(k + e * g, p1.period) for e in _semigroup_elements(a, b, conductor)]
+    result = [Progression(k + e * g, p1.period) for e in semigroup_elements((a, b), conductor)]
     result.append(Progression(k + conductor * g, g))
     return normalize_progressions(result)

@@ -97,7 +97,8 @@ def closure_terms(
     The offsets are the base plus sums of the other periods, built as a fold
     over them.  A period v is added c < ord_v times, ord_v = lcm of
     m_a / gcd(m_a, v_a), since ord_v copies of v add a multiple of m_a to
-    every letter.  Of the offsets in one residue class mod (m_a), only the
+    every letter.  A period of order one thus adds no offset and is skipped.
+    Of the offsets in one residue class mod (m_a), only the
     componentwise-minimal ones are kept: a larger one gives a term that the
     smaller one's term contains.  So no term is contained in another.
     """
@@ -113,6 +114,8 @@ def closure_terms(
     classes = {tuple(y % m for y, m in zip(base, mods)): [tuple(base)]}
     for v in sorted(periods - selected):
         order = reduce(math.lcm, (m // math.gcd(m, x) for m, x in zip(mods, v)), 1)
+        if order == 1:
+            continue
         folded: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         kept = 0
         for offsets in classes.values():

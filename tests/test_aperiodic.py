@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from comshuffle import aperiodic
@@ -200,3 +202,63 @@ def test_serialization_round_trip():
     assert dpl_union_to_json(back) == dpl_union_to_json(u)
     for v in all_vectors(ABC, 5):
         assert union_member(v, back) == union_member(v, u)
+
+
+def monoid_reference(d, gens):
+    """{0} closed under adding generators inside the box [0, d]."""
+    if min(d) < 0:
+        return False
+    box = {(0,) * len(d)}
+    todo = list(box)
+    while todo:
+        r = todo.pop()
+        for g in gens:
+            n = tuple(x + y for x, y in zip(r, g))
+            if all(x <= y for x, y in zip(n, d)) and n not in box:
+                box.add(n)
+                todo.append(n)
+    return tuple(d) in box
+
+
+def random_generators(rng, n):
+    """Unary and non-unary periods over n letters; one letter may get
+    several unary periods, such as {2, 3} or {4, 6}."""
+    gens = set()
+    for i in range(n):
+        for p in rng.choice([(), (1,), (2,), (3,), (2, 3), (4, 6), (3, 5, 7), (6, 9)]):
+            gens.add(tuple(p if j == i else 0 for j in range(n)))
+    for _ in range(rng.randint(0, 3)):
+        g = tuple(rng.randint(0, 3) for _ in range(n))
+        if sum(1 for x in g if x) > 1 or rng.random() < 0.3 and any(g):
+            gens.add(g)
+    return frozenset(gens)
+
+
+def test_in_monoid_agrees_with_the_box_closure():
+    rng = random.Random(24)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        gens = random_generators(rng, n)
+        cases = [(0,) * n, *gens, *(tuple(rng.randint(-2, 14) for _ in range(n)) for _ in range(6))]
+        for d in cases:
+            assert aperiodic._in_monoid(d, gens) == monoid_reference(d, gens), (d, sorted(gens))
+            checked += 1
+    assert checked > 2000
+
+
+def test_in_monoid_tests_a_long_unary_count_without_a_long_table(monkeypatch):
+    limits = []
+    small_sums = aperiodic._small_sums
+
+    def spy(periods, limit):
+        limits.append(limit)
+        return small_sums(periods, limit)
+
+    monkeypatch.setattr(aperiodic, "_small_sums", spy)
+    gens = frozenset({(4, 0), (6, 0), (0, 1)})
+    assert aperiodic._in_monoid((10**6, 3), gens)
+    assert not aperiodic._in_monoid((10**6 + 1, 3), gens)
+    assert not aperiodic._in_monoid((10**6, 3), frozenset({(4, 0), (6, 0)}))
+    # {4, 6} / 2 = {2, 3}: every count from (2 - 1)(3 - 1) on is a sum
+    assert max(limits, default=0) <= 2

@@ -279,6 +279,15 @@ def test_check_projection(capsys):
     assert out.startswith("PASS")
 
 
+def test_check_projection_of_a_closure_needs_a_wider_child_window(capsys):
+    # a^6 is the projection of a^6 b^3, whose sum 9 lies past the bound
+    code, out, _ = run(
+        capsys, "check", "--alphabet", "ab", "--bound", "6", "project(sh*(perm(aab)), {a})"
+    )
+    assert code == 0
+    assert out.strip() == "PASS (bound 6)"
+
+
 @pytest.mark.parametrize("expr", [
     "sh*(project(perm(ab) | perm(c), {a,b}))",
     "project(perm(ab), {a,b}) <> project(F(a,1), {a,b})",
@@ -444,6 +453,15 @@ def test_closure_member_guard_exit_code(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "closure membership guard" in err
+
+
+def test_closure_member_of_a_long_word_with_unary_periods(capsys):
+    # the fold's set with periods aab and a tests b's count by one walk and
+    # a's by its unary period, not by all 2001 · 1001 remainders
+    word = "a" * 2000 + "b" * 1000
+    code, out, _ = run(capsys, "member", "--alphabet", "ab", word, "sh*(perm(aab) | {a}*)")
+    assert code == 0
+    assert out.strip() == "true"
 
 
 def test_representation_guard_exit_code(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from comshuffle import regularity
 from comshuffle.automata import dpl_to_dfa, equivalence_witness, minimize
 from comshuffle.dpl import (
     DiagonalPeriodic,
@@ -17,6 +18,7 @@ from comshuffle.dpl import (
     count_set_subset,
     dpl_iterated_shuffle,
     dpl_shuffle,
+    maximal_terms,
     term_subset,
 )
 from comshuffle.progressions import Progression
@@ -175,6 +177,67 @@ def test_closure_terms_are_the_shifted_closure_without_dominated_terms():
                 if (w := v + shift).total() <= bound
             }
             assert dpl_enumerate(got, bound).vectors == expected, (base, periods)
+
+
+def random_mixed_union(rng: random.Random, alphabet: Alphabet, size: int) -> DplUnion:
+    """Terms of small progressions and exact counts, so that many contain
+    others."""
+    def count_set():
+        k = rng.randint(0, 3)
+        return k if rng.random() < 0.3 else P(k, rng.choice([1, 2, 4]))
+
+    terms = [DiagonalPeriodic(alphabet, tuple(count_set() for _ in alphabet)) for _ in range(size)]
+    return DplUnion.of(alphabet, terms)
+
+
+def test_maximal_terms_is_the_pairwise_pruning_in_input_order():
+    rng = random.Random(24)
+    dropped = kept_all = 0
+    for alphabet in (AB, AB, ABC):
+        for _ in range(60):
+            u = random_mixed_union(rng, alphabet, rng.randint(1, 12))
+            expected = tuple(
+                t for t in u.terms if not any(s != t and term_subset(t, s) for s in u.terms)
+            )
+            got = maximal_terms(u)
+            assert got.terms == expected
+            if expected == u.terms:
+                assert got is u
+                kept_all += 1
+            else:
+                dropped += 1
+    assert dropped > 20 and kept_all > 20
+
+
+def test_closure_terms_skip_a_period_of_order_one(monkeypatch):
+    calls = []
+    add_minimal = regularity._add_minimal
+
+    def spy(antichain, x):
+        calls.append(x)
+        return add_minimal(antichain, x)
+
+    monkeypatch.setattr(regularity, "_add_minimal", spy)
+    # (2, 3) adds a multiple of the unary periods (2, 0) and (0, 3) to each letter
+    periods = {(2, 0), (0, 3), (1, 1)}
+    without = closure_terms(AB, (1, 0), periods)
+    added = len(calls)
+    assert closure_terms(AB, (1, 0), periods | {(2, 3)}) == without
+    assert len(calls) == 2 * added
+    rng = random.Random(73)
+    for alphabet in (AB, ABC):
+        for _ in range(20):
+            base, periods = random_linear_set(rng, alphabet, 3)
+            mods = {}
+            for p in filter(any, periods):
+                (i, x), *more = [(i, x) for i, x in enumerate(p) if x]
+                if not more:
+                    mods[i] = min(mods.get(i, x), x)
+            v = tuple(mods[i] * rng.randint(1, 3) if i in mods else 0 for i in range(len(alphabet)))
+            if any(v):
+                assert closure_terms(alphabet, base, {*periods, v}) == closure_terms(
+                    alphabet, base, periods
+                ), (base, periods, v)
 
 
 def test_three_term_closure_compiles_and_minimizes_fast():
