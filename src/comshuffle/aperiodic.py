@@ -22,8 +22,8 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import combinations, count, product
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .dpl import (
     DiagonalPeriodic,
@@ -156,7 +156,8 @@ def _is_unary(p: Vector) -> bool:
 def _walk(sources: Iterable[Vector], nexts) -> Iterator[Vector]:
     """The vectors that `nexts` leads to from `sources`, these included, each
     yielded once as the search takes it up.  Finding more than
-    CLOSURE_MEMBER_STATE_GUARD of them trips the closure_member_states guard."""
+    CLOSURE_MEMBER_STATE_GUARD of them trips the closure_member_states guard,
+    as soon as one too many is found."""
     seen = set(sources)
     todo = list(seen)
     while todo:
@@ -166,10 +167,11 @@ def _walk(sources: Iterable[Vector], nexts) -> Iterator[Vector]:
             if n not in seen:
                 seen.add(n)
                 todo.append(n)
-        if len(seen) > CLOSURE_MEMBER_STATE_GUARD:
-            raise SizeGuardError.over(
-                "closure membership", "closure_member_states", CLOSURE_MEMBER_STATE_GUARD, len(seen)
-            )
+                if len(seen) > CLOSURE_MEMBER_STATE_GUARD:
+                    raise SizeGuardError.over(
+                        "closure membership", "closure_member_states",
+                        CLOSURE_MEMBER_STATE_GUARD, len(seen),
+                    )
 
 
 def _reach(sources: Iterable[Vector], nexts) -> set[Vector]:
@@ -177,21 +179,54 @@ def _reach(sources: Iterable[Vector], nexts) -> set[Vector]:
     return set(_walk(sources, nexts))
 
 
+# Per letter with unary generators: its index, their gcd g, the count from
+# which every multiple of g is a sum of them, and (w_y, s_w) for each walked
+# generator w with w_y > 0, s_w its total on the letters without one.
+Caps = tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]
+# A non-unary generator and how many times at most the search takes it off
+# (None: as often as the remainder allows).
+Stage = tuple[Vector, Optional[int]]
+
+
 @lru_cache(maxsize=1024)
-def _split(
-    gens: frozenset[Vector], n: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[Vector, ...]]:
-    """Per letter of n, the sorted counts of the unary generators on it; and
-    the other generators."""
+def _split(gens: frozenset[Vector], n: int) -> tuple[
+    tuple[tuple[int, ...], ...], tuple[Stage, ...], int, tuple[int, ...], Caps
+]:
+    """How `_in_monoid` searches gens, over n letters: per letter, the
+    sorted counts of the unary generators on it; the stages, one per
+    non-unary generator but those of order 1 (sums of unary ones), in the
+    order the search takes them; the index of the first stage whose
+    generator has a letter without a unary generator, a bare letter; the
+    bare letters; and the caps of `_cap`."""
     units: list[set[int]] = [set() for _ in range(n)]
-    walked = []
+    mixed = []
     for g in gens:
         (i, x), *more = [(i, x) for i, x in enumerate(g) if x]
         if more:
-            walked.append(g)
+            mixed.append(g)
         else:
             units[i].add(x)
-    return tuple(tuple(sorted(u)) for u in units), tuple(walked)
+    sums = tuple(tuple(sorted(u)) for u in units)
+    bounded, walked = [], []
+    for g in mixed:
+        if all(units[i] for i, x in enumerate(g) if x):
+            order = math.lcm(
+                *(min(m // math.gcd(m, x) for m in units[i]) for i, x in enumerate(g) if x)
+            )
+            if order > 1:
+                bounded.append((g, order))
+        else:
+            walked.append(g)
+    bare = tuple(i for i in range(n) if not units[i])
+    caps = []
+    for y, u in enumerate(units):
+        if u:
+            g, lo, hi = math.gcd(*u), min(u), max(u)
+            least = (lo // g - 1) * (hi // g - 1) * g if len(u) > 1 else 0
+            takes = tuple((w[y], sum(w[x] for x in bare)) for w in walked if w[y])
+            caps.append((y, g, least, takes))
+    stages = (*bounded, *((w, None) for w in sorted(walked)))
+    return sums, stages, len(bounded), bare, tuple(caps)
 
 
 @lru_cache(maxsize=256)
@@ -218,28 +253,83 @@ def _sum_of(x: int, periods: tuple[int, ...]) -> bool:
     return x >= schur or x in _small_sums(tuple(p // g for p in periods), schur)
 
 
+def _fewer_than(r: Vector, g: Vector, limit: Optional[int]) -> Iterator[Vector]:
+    """r less j copies of g, for 0 <= j < limit (any j if None), while that
+    stays >= 0."""
+    for _ in range(limit) if limit else count():
+        yield r
+        r = _minus(r, g)
+        if min(r) < 0:
+            return
+
+
+def _cap(r: Vector, bare: tuple[int, ...], caps: Caps) -> Vector:
+    """r with each count that the walk cannot bring below the point where
+    only its residue matters lowered to the least such count of that
+    residue (`_in_monoid`)."""
+    left = sum(r[x] for x in bare)
+    out = list(r)
+    for y, g, least, takes in caps:
+        c = least + max((left * wy // sw for wy, sw in takes), default=0)
+        if out[y] > c:
+            out[y] = c + (out[y] - c) % g
+    return tuple(out)
+
+
 def _in_monoid(d: Vector, gens: frozenset[Vector]) -> bool:
     """Whether d is a sum of vectors of gens (non-zero, non-negative).
 
     The generators split into unary ones, non-zero on one letter, and the
-    rest.  The search takes off sums of the rest, visiting the remainders r
-    >= 0 (at most ∏ (d_a + 1), and counted by the closure_member_states
-    guard), and stops at the first one each of whose counts is a sum of that
-    letter's unary generators, or 0 on a letter without one.  A count is
-    tested by arithmetic (`_sum_of`): a multiple of the periods' gcd g is a
-    sum of them from Schur's bound (p_min/g - 1)(p_max/g - 1) on, and below
-    it a table of the sums under that bound says; no table grows with d.
+    rest.  A remainder is finished when each of its counts is a sum of that
+    letter's unary generators, or 0 on a letter without one (a bare letter).
+    A count is tested by arithmetic (`_sum_of`): a multiple of the periods'
+    gcd g is a sum of them from Schur's bound S = g(p_min/g - 1)(p_max/g - 1)
+    on, and below it a table of the sums under that bound says; no table
+    grows with d.  The search takes the non-unary generators off d, one
+    after the other in stages (`_split`), each as many times as it may, and
+    stops at the first finished remainder: a finished d answers at once.
+    A state is a remainder and the index of its next stage, and every state
+    found counts towards the closure_member_states guard.
+
+    A non-unary v whose letters all have a unary generator is used fewer
+    than ord_v = lcm_a m_a / gcd(m_a, v_a) times, over its letters a, with
+    m_a the unary generator of a that makes m_a / gcd(m_a, v_a) least.
+    Proof: ord_v is a multiple of m_a / gcd(m_a, v_a), so ord_v · v_a is a
+    multiple of m_a, and ord_v · v is a sum of unary generators.  In a sum
+    equal to d that uses v at least ord_v times, ord_v copies of v can
+    therefore be traded for unary generators, until fewer remain; so d is
+    in the monoid exactly when some sum with fewer than ord_v copies of
+    each such v gives it.  These stages come first, and at most ∏ ord_v
+    remainders leave them.  Each other non-unary generator w has a bare
+    letter, and is taken off as often as the remainder allows.
+
+    A remainder r can also be lowered on a letter y with unary generators.
+    With L the sum of r on the bare letters, the generators with a bare
+    letter are taken off r n_w times with Σ n_w s_w <= L (s_w > 0 the sum
+    of w on them), so they take at most T_y = max_w ⌊L w_y / s_w⌋ off y.
+    Once those stages are reached and r_y >= c = S_y + T_y, every remainder
+    the search reaches from r has a count >= S_y on y, which is a sum
+    exactly when g_y divides it; so r_y can be lowered to
+    c + (r_y - c) mod g_y without changing which remainders can follow or
+    which of them finish (`_cap`).  After that the counts on y stay below
+    S_y + T_y + g_y, and the remainders depend only on the bare counts.
     """
     if not any(d) or d in gens:
         return True
     if min(d) < 0:
         return False
-    units, walked = _split(gens, len(d))
+    units, stages, first_walked, bare, caps = _split(gens, len(d))
+    if not stages:
+        return all(map(_sum_of, d, units))
 
-    def steps(r: Vector) -> list[Vector]:
-        return [n for n in (_minus(r, g) for g in walked) if min(n) >= 0]
+    def steps(state: tuple[Vector, int]) -> Iterator[tuple[Vector, int]]:
+        r, i = state
+        if i < len(stages):
+            for n in _fewer_than(r, *stages[i]):
+                yield (_cap(n, bare, caps) if i + 1 >= first_walked else n), i + 1
 
-    return any(all(map(_sum_of, r, units)) for r in _walk([d], steps))
+    start = (_cap(d, bare, caps) if first_walked == 0 else d), 0
+    return any(all(map(_sum_of, r, units)) for r, _ in _walk([start], steps))
 
 
 def _term_linear(t: DiagonalPeriodic) -> Linear:
@@ -272,7 +362,8 @@ def _shuffle_in(s: Linear, b: Vector, v: frozenset[Vector]) -> list[Linear]:
 def fold_linear_sets(u: DplUnion) -> list[Linear]:
     """sh*(u) as linear sets: from {0}, each term b + ⟨V⟩ of u shuffled in
     by `_shuffle_in`.  After each step the sets that another contains are
-    dropped, as `dpl.maximal_terms` drops terms."""
+    dropped, as `dpl.maximal_terms` drops terms.  The recognizable sets come
+    first."""
     sets: list[Linear] = [((0,) * len(u.alphabet), frozenset())]
     for b, v in map(_term_linear, u.terms):
         sets = [n for s in sets for n in _shuffle_in(s, b, v)]
@@ -285,7 +376,9 @@ def fold_linear_sets(u: DplUnion) -> list[Linear]:
             if not any(_contains(k, s) for k in kept):
                 kept = [k for k in kept if not _contains(s, k)] + [s]
         sets = kept
-    return sets
+    # the recognizable sets first: a membership test searches them within
+    # bounds that do not grow with the vector (`_in_monoid`)
+    return sorted(sets, key=lambda s: not _recognizable(s))
 
 
 def in_linear_sets(v: Vector, sets: Iterable[Linear]) -> bool:
@@ -387,7 +480,9 @@ def _escapes(r: DplUnion, s: Linear) -> Optional[list[Vector]]:
     return out
 
 
-def union_iterated_shuffle(u: DplUnion) -> DplUnion:
+def union_iterated_shuffle(
+    u: DplUnion, fold: Callable[[DplUnion], list[Linear]] = fold_linear_sets
+) -> DplUnion:
     """Iterated shuffle of a union of terms, with any periods and exact
     counts, exactly or with a proof that it is not regular.
 
@@ -398,10 +493,11 @@ def union_iterated_shuffle(u: DplUnion) -> DplUnion:
     (`_escapes`), and its finitely many escaping slices join the result, or
     `UndecidedError` names it.  No term of the result lies in another.
     Either error carries the fold as `linear_sets`, for exact membership in
-    the closure (`in_linear_sets`) without folding again.
+    the closure (`in_linear_sets`) without folding again.  `fold` gives the
+    fold of u: a caller that keeps one passes it here.
     """
     alphabet = u.alphabet
-    sets = fold_linear_sets(u)
+    sets = fold(u)
     converted = [s for s in sets if _recognizable(s)]
     rest = [s for s in sets if not _recognizable(s)]
     if rest:

@@ -5,11 +5,16 @@ An expression evaluates to a `DplUnion`, a `FiniteLang` (an exact word set)
 or a `Closure`.  A word set stays one under `|` and `<>` with word sets, `&`
 and `project`; elsewhere `_as_union` converts it to its Parikh image when it
 is permutation closed, and refuses it otherwise (outside the fragment).
-Every iterated shuffle, of a union or of a word set's Parikh image, goes
-through `aperiodic.union_iterated_shuffle`.  A closure proven not regular,
-or undecided, is a `Closure`: `member` and `check` answer on it exactly,
-`regular` prints the non-regularity certificate, a projection of it is the
-closure of the projected union, and `normalize`, `dfa` and `report` exit 3.
+Every iterated shuffle, of a union or of a word set's Parikh image, is a
+`Closure`, computed on first use.  `member` answers it from its fold of
+linear sets (`aperiodic.union_closure_member`) and builds no normal form.
+The operators, `invproject`, `normalize`, `regular`, `dfa`, `report` and
+`check` read its normal form (`aperiodic.union_iterated_shuffle`).  A
+closure proven not regular, or undecided, has none: `member` and `check`
+answer on it exactly, `regular` prints the non-regularity certificate, and
+`normalize`, `dfa` and `report` exit 3.  A projection of a closure is the
+closure of the projected union; its normal form is the projection of the
+closure's normal form where that exists.
 Exit codes: 0 success, 2 syntax error, 3 outside the implemented fragment,
 undecided or not regular, 4 resource guard exceeded, 5 oracle mismatch.
 """
@@ -21,12 +26,19 @@ import json
 import os
 import sys
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from math import comb
 from typing import Optional
 
-from .aperiodic import in_linear_sets, union_closure_member, union_iterated_shuffle
+from .aperiodic import (
+    Linear,
+    fold_linear_sets,
+    in_linear_sets,
+    union_closure_member,
+    union_iterated_shuffle,
+)
 from .automata import (
     STATE_GUARD_DEFAULT,
     dfa_to_dict,
@@ -94,16 +106,45 @@ PROJECT_ORACLE_SLACK = 12
 
 @dataclass(frozen=True)
 class Closure:
-    """The iterated shuffle of `union`, which has no normal form: `error`
-    proves it not regular, or leaves it undecided.  It answers membership
-    only, on the fold of linear sets that `error.linear_sets` carries."""
+    """The iterated shuffle of `union`, computed on first use and at most
+    once per object: its fold of linear sets, which answers membership, and
+    its normal form where a command needs terms, which
+    `union_iterated_shuffle` builds from that fold.  A closure proven not
+    regular, or undecided, has no normal form; reading one raises that error
+    again.  `image_of` names the closure and the letters that `union` is the
+    projection of: where that closure has a normal form, the projection of
+    it is this closure's normal form."""
 
     union: DplUnion
-    error: ComshuffleError
+    image_of: Optional[tuple[Closure, frozenset[str]]] = None
 
     @property
     def alphabet(self) -> Alphabet:
         return self.union.alphabet
+
+    @cached_property
+    def linear_sets(self) -> list[Linear]:
+        """The closure's fold."""
+        return fold_linear_sets(self.union)
+
+    @cached_property
+    def _normal_form(self) -> DplUnion | NonRegularError | UndecidedError:
+        if self.image_of is not None:
+            child, letters = self.image_of
+            with suppress(NonRegularError, UndecidedError):
+                return dpl_project(child.normal_form, letters)
+        try:
+            # the conversion reads the fold kept here, and makes it if none is
+            return union_iterated_shuffle(self.union, lambda _: self.linear_sets)
+        except (NonRegularError, UndecidedError) as err:
+            return err
+
+    @property
+    def normal_form(self) -> DplUnion:
+        """The closure as a union of terms, or the error that it has none."""
+        if isinstance(nf := self._normal_form, DplUnion):
+            return nf
+        raise nf
 
 
 def _shuffle_pair_words(w1: str, w2: str) -> set[str]:
@@ -143,14 +184,14 @@ def _finite_union(lang: FiniteLang) -> DplUnion:
 
 def _as_union(v: DplUnion | FiniteLang | Closure, op: str = "conversion") -> DplUnion:
     """The value as a union of terms, for the operation `op`.  A closure
-    raises the error that kept it from a normal form.  A word set converts
-    exactly when it is permutation closed, that is when it holds, for each
-    multiset of letters it uses, all the multinomially many words with those
-    letters; any other word set is outside the fragment."""
+    gives its normal form, or raises the error that it has none.  A word set
+    converts exactly when it is permutation closed, that is when it holds,
+    for each multiset of letters it uses, all the multinomially many words
+    with those letters; any other word set is outside the fragment."""
     if isinstance(v, DplUnion):
         return v
     if isinstance(v, Closure):
-        raise v.error
+        return v.normal_form
     groups = Counter("".join(sorted(w)) for w in v.words)
     if not all(n == arrangements(k) for k, n in groups.items()):
         raise FragmentError(
@@ -167,10 +208,10 @@ def _union_values(v1, v2):
 
 
 def _member_counts(v: DplUnion | Closure, counts: tuple[int, ...]) -> bool:
-    """Membership of a count vector in a union or a closure."""
+    """Membership of a count vector in a union, or in a closure's fold."""
     if isinstance(v, DplUnion):
         return any(all(map(in_count_set, counts, t.sets)) for t in v.terms)
-    return in_linear_sets(counts, v.error.linear_sets)
+    return in_linear_sets(counts, v.linear_sets)
 
 
 def _member_word(v: DplUnion | FiniteLang | Closure, w: str) -> bool:
@@ -201,10 +242,10 @@ _BINARY = {
 }
 
 
-def _iterated_shuffle(child: DplUnion | FiniteLang | Closure) -> DplUnion | Closure:
-    """The exact fold of `union_iterated_shuffle`, on a union or on a word
-    set's Parikh image; a closure it proves not regular, or cannot decide,
-    stays a `Closure`.  A closure is its own iterated shuffle.
+def _iterated_shuffle(child: DplUnion | FiniteLang | Closure) -> Closure:
+    """The iterated shuffle of a union or of a word set's Parikh image, as a
+    `Closure` that computes nothing yet.  A closure is its own iterated
+    shuffle.
 
     A word set F takes the Parikh route only where sh*(F) is commutative:
     F is permutation closed, or F holds the one-letter word of every letter
@@ -213,13 +254,8 @@ def _iterated_shuffle(child: DplUnion | FiniteLang | Closure) -> DplUnion | Clos
     if isinstance(child, Closure):
         return child
     if isinstance(child, FiniteLang) and set("".join(child.words)) <= set(child.words):
-        u = _finite_union(child)
-    else:
-        u = _as_union(child, "iterated shuffle")
-    try:
-        return union_iterated_shuffle(u)
-    except (NonRegularError, UndecidedError) as err:
-        return Closure(u, err)
+        return Closure(_finite_union(child))
+    return Closure(_as_union(child, "iterated shuffle"))
 
 
 def eval_expr(
@@ -254,7 +290,7 @@ def eval_expr(
             return FiniteLang.of(child.alphabet.restrict(e.letters), words)
         if isinstance(child, Closure):
             # projection is a monoid morphism: it maps sh*(X) to sh*(project(X))
-            return _iterated_shuffle(dpl_project(child.union, e.letters))
+            return Closure(dpl_project(child.union, e.letters), (child, e.letters))
         return dpl_project(child, e.letters)
     if isinstance(e, InvProject):
         child = eval_expr(e.child, alphabet, clause_guard)
@@ -332,11 +368,9 @@ def oracle_set(e: Expr, alphabet: Alphabet, bound: int) -> frozenset[ParikhVecto
 
 
 def value_to_dict(v: DplUnion | FiniteLang | Closure) -> dict:
-    if isinstance(v, DplUnion):
-        return dpl_union_to_dict(v)
     if isinstance(v, FiniteLang):
         return {"alphabet": list(v.alphabet.letters), "words": sorted(v.words, key=word_order_key)}
-    raise v.error
+    return dpl_union_to_dict(_as_union(v))
 
 
 def _canonical_json(data: dict) -> str:
@@ -365,6 +399,10 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_member(args) -> int:
+    """Print whether the word is in the value.  A closure answers from its
+    fold, in one `union_closure_member` call, and builds no normal form: so
+    a closure that has none, or whose conversion would trip a guard or take
+    long, answers too."""
     e, alphabet = _resolve(args)
     for a in args.word:
         if a not in alphabet:
@@ -386,11 +424,11 @@ def cmd_member(args) -> int:
 def cmd_regular(args) -> int:
     e, alphabet = _resolve(args)
     value = eval_expr(e, alphabet, args.guard_clauses)
-    if isinstance(value, Closure) and isinstance(err := value.error, NonRegularError):
+    try:
+        verdict = {"regular": True, "witness": None, "representation": value_to_dict(value)}
+    except NonRegularError as err:  # only a closure's normal form raises it here
         witness = {"witness": err.letter, "subalphabet": list(err.subalphabet)}
         verdict = {"regular": False, **witness, "representation": None}
-    else:
-        verdict = {"regular": True, "witness": None, "representation": value_to_dict(value)}
     print(_canonical_json(verdict))
     return 0
 
@@ -425,7 +463,9 @@ def cmd_check(args) -> int:
 
     A negative bound is refused (exit 2), and one above
     `oracle.CLOSURE_MAX_BOUND` trips the `check_bound` guard (exit 4) before
-    anything is enumerated.  A word set is compared by its Parikh image.
+    anything is enumerated.  A word set is compared by its Parikh image, and
+    a closure by its normal form, so that the check tests the conversion;
+    only a closure without one is compared by its fold.
 
     The oracle projects the child's vectors of sum <= --bound +
     PROJECT_ORACLE_SLACK, so a projected vector that only a longer child
@@ -439,10 +479,13 @@ def cmd_check(args) -> int:
         raise SizeGuardError.over("check bound", "check_bound", CLOSURE_MAX_BOUND, bound)
     e, alphabet = _resolve(args)
     value = eval_expr(e, alphabet, args.guard_clauses)
-    target = expr_alphabet(e, alphabet)
-    expected = {v.counts for v in oracle_set(e, alphabet, bound)}
     if isinstance(value, FiniteLang):
         value = _finite_union(value)
+    elif isinstance(value, Closure):
+        with suppress(NonRegularError, UndecidedError):
+            value = value.normal_form
+    target = expr_alphabet(e, alphabet)
+    expected = {v.counts for v in oracle_set(e, alphabet, bound)}
     actual = {c for c in count_tuples(len(target), bound) if _member_counts(value, c)}
     if not (diff := expected ^ actual):
         print(f"PASS (bound {bound})")

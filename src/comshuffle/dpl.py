@@ -418,16 +418,17 @@ def _generator_union(g, alphabet: Alphabet) -> DplUnion:
         progs = dict(free)
         progs[g.letter] = Progression(g.residue, g.modulus)
         return DplUnion.of(alphabet, [DiagonalPeriodic.make(alphabet, progs)])
-    if isinstance(g, GammaStar):
-        progs = {a: Progression(0, 1) for a in alphabet if a in g.letters}
-        return DplUnion.of(alphabet, [DiagonalPeriodic.make(alphabet, progs)])
-    if isinstance(g, GammaPlus):
-        terms = []
-        for b in alphabet:
-            if b in g.letters:
-                progs = {a: Progression(0, 1) for a in alphabet if a in g.letters}
-                progs[b] = Progression(1, 1)
-                terms.append(DiagonalPeriodic.make(alphabet, progs))
+    if isinstance(g, (GammaStar, GammaPlus)):
+        gamma = {a: Progression(0, 1) for a in g.letters}
+        # `make` refuses a letter of Γ outside the alphabet, as for F(a, ...)
+        star = DiagonalPeriodic.make(alphabet, gamma)
+        if isinstance(g, GammaStar):
+            return DplUnion.of(alphabet, [star])
+        terms = [
+            DiagonalPeriodic.make(alphabet, {**gamma, b: Progression(1, 1)})
+            for b in alphabet
+            if b in g.letters
+        ]
         return DplUnion.of(alphabet, terms)
     raise TypeError(f"not a generator: {g!r}")
 

@@ -32,6 +32,7 @@ from comshuffle.oracle import (
     predicate_enumerate,
     sets_equal,
 )
+from comshuffle.progressions import Progression
 from comshuffle.words import Alphabet, ParikhVector, parikh
 
 AB = Alphabet.of("ab")
@@ -262,3 +263,57 @@ def test_in_monoid_tests_a_long_unary_count_without_a_long_table(monkeypatch):
     assert not aperiodic._in_monoid((10**6, 3), frozenset({(4, 0), (6, 0)}))
     # {4, 6} / 2 = {2, 3}: every count from (2 - 1)(3 - 1) on is a sum
     assert max(limits, default=0) <= 2
+
+
+def test_in_monoid_uses_a_mixed_generator_fewer_times_than_its_order(monkeypatch):
+    # 2·ab = aa + bb and 2·bc = bb + cc: each of ab and bc is taken off at
+    # most once, so four remainders answer for any counts
+    monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 8)
+    gens = frozenset({(1, 1, 0), (0, 1, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2)})
+    assert not aperiodic._in_monoid((500, 1001, 500), gens)
+    assert aperiodic._in_monoid((500, 1000, 500), gens)
+    assert aperiodic._in_monoid((501, 1001, 500), gens)
+    assert aperiodic._in_monoid((500, 1001, 501), gens)
+    assert not aperiodic._in_monoid((501, 1000, 500), gens)
+
+
+def test_in_monoid_walks_mixed_periods_of_a_large_order_lazily(monkeypatch):
+    # ab and abb have order 97·89 = 8633 against a^97 and b^89: built stage
+    # by stage, their remainders for a^2000 b^2001 would number about 10^6,
+    # while the search stops at the first finished one and holds a few
+    # thousand
+    monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 10_000)
+    gens = frozenset({(97, 0), (0, 89), (1, 1), (1, 2)})
+    assert aperiodic._in_monoid((2000, 2001), gens)
+    assert aperiodic._in_monoid((2001, 2000), gens)
+    # a finished d answers before any generator is taken off
+    monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 1)
+    assert aperiodic._in_monoid((97 * 89, 2 * 89), gens)
+
+
+def test_in_monoid_counts_a_unary_letter_modulo_its_period_past_the_walk(monkeypatch):
+    # b has no unary period, so ab and aaab are walked, 300 times in all;
+    # past 3·300 the count on a only matters modulo 2, and the walk holds
+    # about 600 remainders where the exact counts would give about 45,000
+    monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 1000)
+    gens = frozenset({(2, 0), (1, 1), (3, 1)})
+    assert not aperiodic._in_monoid((10**6 + 1, 300), gens)
+    assert aperiodic._in_monoid((10**6, 300), gens)
+    assert aperiodic._in_monoid((10**6 + 1, 301), gens)
+
+
+
+def test_membership_tries_the_recognizable_linear_sets_first(monkeypatch):
+    # sh*(a^{2+N} b^3 | a^{2+N} b^{2+2N} | a^{1+3N} b) is regular, but its fold
+    # keeps linear sets with the period ab and no unary period on b; a word in
+    # a recognizable set answers without walking those
+    u = DplUnion.of(AB, [
+        DiagonalPeriodic(AB, (Progression(2, 1), 3)),
+        DiagonalPeriodic(AB, (Progression(2, 1), Progression(2, 2))),
+        DiagonalPeriodic(AB, (Progression(1, 3), 1)),
+    ])
+    sets = aperiodic.fold_linear_sets(u)
+    kinds = [aperiodic._recognizable(s) for s in sets]
+    assert kinds == sorted(kinds, reverse=True) and not all(kinds)
+    monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 50)
+    assert union_closure_member(ParikhVector(AB, (34, 58)), u)

@@ -13,7 +13,9 @@ import pytest
 from comshuffle import aperiodic, cli, regularity
 from comshuffle.automata import dfa_from_dict
 from comshuffle.cli import main
-from comshuffle.dpl import dpl_union_from_dict, dpl_union_member
+from comshuffle.dpl import GammaStar, dpl_union_from_dict, dpl_union_member, from_generators
+from comshuffle.errors import SizeGuardError
+from comshuffle.exprlang import parse
 from comshuffle.words import Alphabet, parikh
 
 
@@ -418,7 +420,9 @@ def test_check_folds_a_closure_once(capsys, monkeypatch):
     # membership tests read: one fold, not one per vector or per use
     calls = []
     fold = aperiodic.fold_linear_sets
-    monkeypatch.setattr(aperiodic, "fold_linear_sets", lambda u: calls.append(u) or fold(u))
+    counted = lambda u: calls.append(u) or fold(u)
+    monkeypatch.setattr(aperiodic, "fold_linear_sets", counted)
+    monkeypatch.setattr(cli, "fold_linear_sets", counted)
     code, out, _ = run(
         capsys, "check", "--alphabet", "abc", "--bound", "9", "sh*({ab,ba,bc,cb,aac,aca,caa})"
     )
@@ -577,3 +581,121 @@ def test_a_closure_without_a_normal_form_has_no_automaton(capsys):
     code, _, err = run(capsys, "dfa", "--alphabet", "ab", "sh*(perm(ab))")
     assert code == 3
     assert "not regular" in err
+
+
+# --- a closure computes its normal form only where a command reads terms ---
+
+def _refuse_normal_form(monkeypatch):
+    def refuse(u, fold=None):
+        raise AssertionError("normal form built")
+
+    monkeypatch.setattr(cli, "union_iterated_shuffle", refuse)
+
+
+@pytest.mark.parametrize(
+    "word, expr, found",
+    [
+        ("abab", "sh*(F(a,1,2) | perm(b))", "true\n"),
+        ("b", "sh*(F(a,1,2) | perm(b))", "true\n"),
+        ("aab", "sh*(perm(aab) | {a}*)", "true\n"),
+        ("ab", "sh*(perm(aab) | {a}*)", "false\n"),
+        ("aa", "project(sh*(perm(aab)), {a})", "true\n"),
+    ],
+)
+def test_member_of_a_closure_builds_no_normal_form(capsys, monkeypatch, word, expr, found):
+    _refuse_normal_form(monkeypatch)
+    assert run(capsys, "member", "--alphabet", "ab", word, expr)[:2] == (0, found)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "sh*(F(a,1,2))"],
+        ["regular", "sh*(F(a,1,2))"],
+        ["dfa", "sh*(F(a,1,2))"],
+        ["report", "sh*(F(a,1,2))"],
+        ["check", "--bound", "4", "sh*(F(a,1,2))"],
+        ["member", "ab", "sh*(F(a,1,2)) | F(a,3)"],
+        ["member", "ab", "invproject(sh*(F(a,1,2)))"],
+    ],
+)
+def test_every_other_reader_of_a_closure_builds_its_normal_form(monkeypatch, argv):
+    _refuse_normal_form(monkeypatch)
+    with pytest.raises(AssertionError, match="normal form built"):
+        main([argv[0], "--alphabet", "ab", *argv[1:]])
+
+
+def test_check_compares_a_closure_by_its_normal_form(capsys, monkeypatch):
+    # a wrong conversion is caught: Σ* in place of sh*(F(a,1,2)), which lacks b
+    sigma_star = from_generators(GammaStar(frozenset("ab")), Alphabet.of("ab"))
+    monkeypatch.setattr(cli, "union_iterated_shuffle", lambda u, fold: sigma_star)
+    code, out, _ = run(capsys, "check", "--alphabet", "ab", "--bound", "6", "sh*(F(a,1,2))")
+    assert (code, out) == (5, "FAIL at {'a': 0, 'b': 1} (bound 6)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["member", "--alphabet", "ab", "aab", "sh*(perm(aab) | {a}*)"], "true"),
+        (["member", "--alphabet", "ab", "abab", "sh*(F(a,1,2) | perm(b))"], "true"),
+        (["normalize", "--alphabet", "ab", "sh*(perm(aab)) & {aab,aba,baa,ab,b}"],
+         '{"alphabet": ["a", "b"], "words": ["aab", "aba", "baa"]}'),
+    ],
+)
+def test_a_command_folds_a_closure_once(capsys, monkeypatch, argv, shown):
+    calls = []
+    fold = aperiodic.fold_linear_sets
+
+    def counted(u):
+        calls.append(u)
+        return fold(u)
+
+    monkeypatch.setattr(aperiodic, "fold_linear_sets", counted)
+    monkeypatch.setattr(cli, "fold_linear_sets", counted)
+    assert run(capsys, *argv)[:2] == (0, shown + "\n")
+    assert len(calls) == 1
+
+
+LONG_ABC = "a" * 500 + "b" * 1001 + "c" * 500
+
+
+def test_member_of_a_long_word_uses_each_mixed_period_below_its_order(capsys, monkeypatch):
+    # ab and bc are each used at most once, since 2·ab = aa + bb: four
+    # remainders, where all sums of ab and bc give about 250,000
+    _refuse_normal_form(monkeypatch)
+    expr = "sh*(perm(ab) | perm(bc) | aa | bb | cc)"
+    code, out, _ = run(capsys, "member", "--alphabet", "abc", LONG_ABC, expr)
+    assert (code, out) == (0, "false\n")
+
+
+# a regular closure whose fold keeps linear sets with non-unary periods on
+# c, which has no unary period
+KEPT_SETS = (
+    "sh*((perm(aaa) <> (F(b,2) & {b}*) <> (F(c,3) & {c}*)) "
+    "| (perm(ac) <> (F(b,0,3) & F(b,3) & {b}*)) "
+    "| ((F(a,2,3) & F(a,2) & {a}*) <> perm(bbbccc)) "
+    "| ((F(a,0,2) & F(a,2) & {a}*) <> perm(bbbcc)))"
+)
+
+
+@pytest.mark.parametrize(
+    "word, found",
+    [("a" * 19 + "b" * 48 + "c" * 29, "true\n"), ("a" * 499 + "b" * 295 + "c" * 246, "true\n")],
+)
+def test_member_of_a_long_word_reads_only_the_fold(capsys, monkeypatch, word, found):
+    # the counts on a and b that the walk over the c periods cannot bring
+    # below Schur's bound only matter modulo their periods
+    _refuse_normal_form(monkeypatch)
+    assert run(capsys, "member", "--alphabet", "abc", word, KEPT_SETS)[:2] == (0, found)
+
+
+def test_projection_of_a_regular_closure_is_the_projection_of_its_normal_form(capsys):
+    # sh*(ab | aa | bb) has a normal form; its projection to {a} is that form
+    # projected term by term, not the closure of the projected union (N)
+    code, out, _ = run(
+        capsys, "normalize", "--alphabet", "ab", "project(sh*(perm(ab) | aa | bb), {a})"
+    )
+    assert (code, json.loads(out)["terms"]) == (0, [
+        {"progs": {"a": {"k": 0, "p": 2}}, "support": ["a"]},
+        {"progs": {"a": {"k": 1, "p": 2}}, "support": ["a"]},
+    ])

@@ -342,3 +342,18 @@ def test_serialization_is_canonical():
     assert json.dumps(data, sort_keys=True) == json.dumps(
         dpl_union_to_dict(dpl_union_from_json(dpl_union_to_json(u))), sort_keys=True
     )
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        Fcount("z", 1),
+        GammaStar(frozenset("z")),
+        GammaPlus(frozenset("z")),
+        GammaStar(frozenset("az")),
+        GammaPlus(frozenset("az")),
+    ],
+)
+def test_a_generator_refuses_a_letter_outside_the_alphabet(gen):
+    with pytest.raises(ValueError, match=r"letters \['z'\] outside the alphabet"):
+        from_generators(gen, Alphabet.of("ab"))

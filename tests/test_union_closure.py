@@ -19,13 +19,14 @@ from comshuffle.dpl import (
     dpl_project,
     dpl_union_from_dict,
     dpl_union_member,
+    in_count_set,
     term_subset,
 )
 from comshuffle.errors import NonRegularError, SizeGuardError, UndecidedError
 from comshuffle.exprlang import parse
 from comshuffle.oracle import closure_under_addition, count_tuples, predicate_enumerate, sets_equal
 from comshuffle.progressions import Progression
-from comshuffle.words import Alphabet, ParikhVector, parikh
+from comshuffle.words import Alphabet, ParikhVector, parikh, word_of
 
 AB = Alphabet.of("ab")
 ABC = Alphabet.of("abc")
@@ -334,14 +335,84 @@ def test_projection_of_a_closure_is_exact():
                 u, keep, counts
             )
         try:
+            projected_form = _as_union(value)
+        except (NonRegularError, UndecidedError):
+            projected_form = None
+        shown = "closure" if projected_form is None else "dpl"
+        try:
             closure = union_iterated_shuffle(u)
         except (NonRegularError, UndecidedError):
-            kinds["closure", type(value).__name__] += 1
+            kinds["closure", shown] += 1
             continue
-        kinds["dpl", type(value).__name__] += 1
+        kinds["dpl", shown] += 1
         expected = minimize(dpl_to_dfa(dpl_project(closure, keep)))
-        assert equivalence_witness(expected, minimize(dpl_to_dfa(value))) is None, (u, keep)
+        assert equivalence_witness(expected, minimize(dpl_to_dfa(projected_form))) is None, (
+            u, keep
+        )
     # some closures become regular under projection, and some stay closures
-    assert kinds.keys() == {
-        ("dpl", "DplUnion"), ("closure", "DplUnion"), ("closure", "Closure")
-    }
+    assert kinds.keys() == {("dpl", "dpl"), ("closure", "dpl"), ("closure", "closure")}
+
+
+def test_cli_member_of_a_closure_agrees_with_the_oracle_and_the_normal_form(capsys):
+    # member answers every sh* from its fold; over random 2–4 term unions with
+    # exact counts (regular, non-regular and undecided closures) and the
+    # pinned undecided one, it equals membership in the bounded closure and,
+    # where union_iterated_shuffle gives one, in the normal form; and so does
+    # member of the closure projected to {a}
+    rng = random.Random(2510)
+    pinned = ("3 0+3N 0", "2 3 0", "3 0 2+2N", "2 1 2")
+    unions = [DplUnion.of(ABC, [_parse_term(ABC, t) for t in pinned])]
+    for i in range(34):
+        alphabet = ABC if i % 2 else AB
+        terms = [
+            DiagonalPeriodic(alphabet, tuple(
+                Progression(rng.randint(0, 2), rng.randint(1, 3)) if rng.random() < 0.4
+                else rng.randint(0, 2)
+                for _ in alphabet
+            ))
+            for _ in range(rng.randint(2, 4))
+        ]
+        unions.append(DplUnion.of(alphabet, terms))
+    A = Alphabet.of("a")
+    bound = 10
+    verdicts = Counter()
+    for u in unions:
+        letters = "".join(u.alphabet)
+        base = predicate_enumerate(lambda v: dpl_union_member(v, u), u.alphabet, bound)
+        closure = {v.counts for v in closure_under_addition(base, bound).vectors}
+        on_a = predicate_enumerate(
+            lambda v: any(in_count_set(v.counts[0], t.sets[0]) for t in u.terms), A, bound
+        )
+        closure_a = {v.counts for v in closure_under_addition(on_a, bound).vectors}
+        forms = []
+        for w in (u, dpl_project(u, "a")):
+            try:
+                forms.append(union_iterated_shuffle(w))
+                verdicts["regular"] += w is u
+            except (NonRegularError, UndecidedError) as err:
+                forms.append(None)
+                verdicts[type(err).__name__] += w is u
+        members = sorted(closure)
+        words = [
+            "".join(rng.choice(letters) for _ in range(rng.randint(0, bound)))
+            for _ in range(4)
+        ] + [word_of(ParikhVector(u.alphabet, rng.choice(members))) for _ in range(3)]
+        words += ["a" * rng.randint(0, bound) for _ in range(2)]
+        text = union_text(u)
+        for w in words:
+            counts = parikh(w, u.alphabet).counts
+            expected = counts in closure
+            assert run(capsys, "member", "--alphabet", letters, w, f"sh*({text})")[:2] == (
+                0, f"{str(expected).lower()}\n"
+            ), (u, w)
+            if forms[0] is not None:
+                assert dpl_union_member(parikh(w, u.alphabet), forms[0]) == expected, (u, w)
+            on_a_only = set(w) <= {"a"}
+            expected = on_a_only and (len(w),) in closure_a
+            projected = f"project(sh*({text}), {{a}})"
+            assert run(capsys, "member", "--alphabet", letters, w, projected)[:2] == (
+                0, f"{str(expected).lower()}\n"
+            ), (u, w)
+            if forms[1] is not None and on_a_only:
+                assert dpl_union_member(parikh(w, A), forms[1]) == expected, (u, w)
+    assert verdicts.keys() == {"regular", "NonRegularError", "UndecidedError"}, verdicts
