@@ -4,7 +4,6 @@ from .aperiodic import (
     IntervalConstraint,
     intervals_to_terms,
     term_iterated_shuffle_normal_form,
-    term_iterated_shuffle_regular,
     union_closure_member,
     union_iterated_shuffle,
 )

@@ -9,7 +9,7 @@ b + ⟨P⟩ of Parikh vectors (Ginsburg & Spanier, Pacific J. Math. 16, 1966):
 sh*(A ∪ B) = sh*(A) ⧢ sh*(B), and a term b + ⟨V⟩ has the closure
 {0} ∪ (b + ⟨V ∪ {b}⟩).  A linear set whose non-unary periods use only
 letters with a unary period is recognizable and converts to terms exactly
-(`regularity.closure_terms`).
+(`closure_terms`, a search for the minimal offsets of each residue class).
 Each other one is absorbed, exactly, by a walk on a DFA of the recognizable
 part, or a sub-alphabet certificate proves the closure not regular, or the
 computation reports it undecided.
@@ -17,6 +17,7 @@ computation reports it undecided.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from collections import Counter
@@ -40,7 +41,6 @@ from .dpl import (
 )
 from .errors import NonRegularError, SizeGuardError, UndecidedError
 from .progressions import Progression, semigroup_elements
-from .regularity import closure_terms
 from .words import Alphabet, ParikhVector, word_of
 
 # Linear sets one fold step may hold before pruning: n terms give up to 2^n.
@@ -48,6 +48,9 @@ CLOSURE_LINEAR_SET_GUARD = 2048
 # Vectors one search may visit: remainders of a monoid membership test (about
 # n² for counts near n in the closure of {ab, bc}) or states of a walk.
 CLOSURE_MEMBER_STATE_GUARD = 100_000
+# Offsets that may join an antichain in `closure_terms`: one antichain per
+# residue class, up to prod m_a classes, and the antichains can be wide.
+REPRESENTATION_OFFSET_GUARD = 100_000
 
 # Earlier names of the dpl membership test and parser, still imported by
 # bench/workloads.py.
@@ -68,17 +71,6 @@ class IntervalConstraint:
             raise ValueError("lower bound must be non-negative")
         if self.upper is not None and self.lower >= self.upper:
             raise ValueError("interval requires lower < upper")
-
-
-def interval_intersect(c1: IntervalConstraint, c2: IntervalConstraint) -> Optional[IntervalConstraint]:
-    if c1.letter != c2.letter:
-        raise ValueError("constraints must concern the same letter")
-    lower = max(c1.lower, c2.lower)
-    uppers = [u for u in (c1.upper, c2.upper) if u is not None]
-    upper = min(uppers) if uppers else None
-    if upper is not None and lower >= upper:
-        return None
-    return IntervalConstraint(c1.letter, lower, upper)
 
 
 def intervals_to_terms(
@@ -124,13 +116,6 @@ def union_shuffle(u1: DplUnion, u2: DplUnion) -> DplUnion:
 
 def aperiodic_union_to_dict(u: DplUnion) -> dict:
     return dpl_union_to_dict(u)
-
-
-def term_iterated_shuffle_regular(t: DiagonalPeriodic) -> bool:
-    """The closure {0} ∪ (b + ⟨V ∪ {b}⟩) of a term b + ⟨V⟩ is regular iff b
-    is unary or every letter of b has a period in V."""
-    base, periods = _term_linear(t)
-    return _recognizable((base, periods | {base}))
 
 
 def term_iterated_shuffle_normal_form(t: DiagonalPeriodic) -> DplUnion:
@@ -393,6 +378,94 @@ def _recognizable(s: Linear) -> bool:
     return all(i in unary for p in s[1] for i, x in enumerate(p) if x)
 
 
+def closure_terms(
+    alphabet: Alphabet, base: Vector, periods: Iterable[Vector]
+) -> tuple[DiagonalPeriodic, ...]:
+    """The linear set base + ⟨periods⟩ of count vectors as distinct terms,
+    for a recognizable one: each letter of a period also has a unary period.
+
+    Each letter a with a unary period gets the smallest one, m_a, as the
+    period of its progression; a letter without one keeps its base count.
+    The steps are the periods with some count v_a not a multiple of m_a;
+    every other period is a sum of the m_a·e_a.  So the set is the union of
+    x + ⟨m_a·e_a⟩ over the offsets x, the base plus sums of steps.  Of the
+    offsets in one residue class mod (m_a), only the componentwise-minimal
+    ones are kept: a larger one gives a term that the smaller one's term
+    contains.  So no term is contained in another.
+
+    The minimal offsets are found by a search over the residue classes,
+    each holding the antichain of the least offsets found in it so far.
+    From the base, it takes offsets up in order of their coordinate sum,
+    skipping one dropped since it joined its class, and adds each step to
+    each; a sum joins its class (`_add_minimal`) unless an offset there lies
+    at or below it, and drops those above it.  The antichains end as exactly
+    the minimal offsets:
+    - The base lies below every offset, so it is minimal.
+    - A minimal offset y other than the base is x + v for a step v and an
+      offset x of smaller sum, and x is minimal: an offset x' <= x in x's
+      class gives x' + v <= y in y's class, so x' + v = y and x' = x.
+    - So, by induction on the sum, each minimal offset joins its class at
+      the latest when that x is taken up, and stays: nothing lies strictly
+      below it.
+    - An offset z that is not minimal lies above a minimal one z' of smaller
+      sum, which joins before z is taken up: so z either never joins, or is
+      dropped when z' joins, and is never taken up.
+    An offset joins at most once, and each one that joins counts towards
+    REPRESENTATION_OFFSET_GUARD; as each is taken up at most once, the guard
+    bounds the work too.
+    """
+    periods = {p for p in periods if any(p)}
+    unary: dict[int, int] = {}
+    for p in periods:
+        (i, x), *more = [(i, x) for i, x in enumerate(p) if x]
+        if not more:
+            unary[i] = min(unary.get(i, x), x)
+    # modulus one leaves a letter without a unary period at its base count
+    mods = tuple(unary.get(i, 1) for i in range(len(alphabet)))
+    # sorted, so that the order of the terms depends on the steps alone
+    steps = sorted(v for v in periods if any(map(operator.mod, v, mods)))
+
+    def residue(x: Vector) -> Vector:
+        return tuple(map(operator.mod, x, mods))
+
+    base = tuple(base)
+    classes = {residue(base): [base]}
+    todo, joined = [(sum(base), base)], 1
+    while todo:
+        _, x = heapq.heappop(todo)
+        if x not in classes[residue(x)]:
+            continue
+        for v in steps:
+            y = tuple(map(operator.add, x, v))
+            if _add_minimal(classes.setdefault(residue(y), []), y):
+                joined += 1
+                if joined > REPRESENTATION_OFFSET_GUARD:
+                    raise SizeGuardError.over(
+                        "representation", "representation_offsets",
+                        REPRESENTATION_OFFSET_GUARD, joined,
+                    )
+                heapq.heappush(todo, (sum(y), y))
+    periodic = [i in unary for i in range(len(mods))]
+    return tuple(
+        DiagonalPeriodic(
+            alphabet, tuple(Progression(y, m) if f else y for f, y, m in zip(periodic, o, mods))
+        )
+        for offsets in classes.values()
+        for o in offsets
+    )
+
+
+def _add_minimal(antichain: list[Vector], x: Vector) -> bool:
+    """Add x to a list of componentwise-incomparable vectors unless one of them
+    lies at or below it, dropping those above it; returns whether x was
+    added."""
+    if any(all(map(operator.le, k, x)) for k in antichain):
+        return False
+    antichain[:] = [k for k in antichain if not all(map(operator.ge, k, x))]
+    antichain.append(x)
+    return True
+
+
 def _words(alphabet: Alphabet, vectors: Iterable[Vector]) -> list[str]:
     return sorted(word_of(ParikhVector(alphabet, v)) for v in vectors)
 
@@ -487,7 +560,7 @@ def union_iterated_shuffle(
     counts, exactly or with a proof that it is not regular.
 
     `fold_linear_sets` gives the closure as linear sets, and the
-    recognizable ones convert to terms by `regularity.closure_terms`.  If
+    recognizable ones convert to terms by `closure_terms`.  If
     some are not, `_certify_non_regular` raises `NonRegularError` when it
     applies; otherwise each of them is walked on a DFA of the converted part
     (`_escapes`), and its finitely many escaping slices join the result, or

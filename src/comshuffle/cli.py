@@ -13,8 +13,8 @@ The operators, `invproject`, `normalize`, `regular`, `dfa`, `report` and
 closure proven not regular, or undecided, has none: `member` and `check`
 answer on it exactly, `regular` prints the non-regularity certificate, and
 `normalize`, `dfa` and `report` exit 3.  A projection of a closure is the
-closure of the projected union; its normal form is the projection of the
-closure's normal form where that exists.
+closure of the projected union (projection is a monoid morphism), and
+converts like any other closure.
 Exit codes: 0 success, 2 syntax error, 3 outside the implemented fragment,
 undecided or not regular, 4 resource guard exceeded, 5 oracle mismatch.
 """
@@ -111,12 +111,9 @@ class Closure:
     its normal form where a command needs terms, which
     `union_iterated_shuffle` builds from that fold.  A closure proven not
     regular, or undecided, has no normal form; reading one raises that error
-    again.  `image_of` names the closure and the letters that `union` is the
-    projection of: where that closure has a normal form, the projection of
-    it is this closure's normal form."""
+    again."""
 
     union: DplUnion
-    image_of: Optional[tuple[Closure, frozenset[str]]] = None
 
     @property
     def alphabet(self) -> Alphabet:
@@ -129,10 +126,6 @@ class Closure:
 
     @cached_property
     def _normal_form(self) -> DplUnion | NonRegularError | UndecidedError:
-        if self.image_of is not None:
-            child, letters = self.image_of
-            with suppress(NonRegularError, UndecidedError):
-                return dpl_project(child.normal_form, letters)
         try:
             # the conversion reads the fold kept here, and makes it if none is
             return union_iterated_shuffle(self.union, lambda _: self.linear_sets)
@@ -290,7 +283,7 @@ def eval_expr(
             return FiniteLang.of(child.alphabet.restrict(e.letters), words)
         if isinstance(child, Closure):
             # projection is a monoid morphism: it maps sh*(X) to sh*(project(X))
-            return Closure(dpl_project(child.union, e.letters), (child, e.letters))
+            return Closure(dpl_project(child.union, e.letters))
         return dpl_project(child, e.letters)
     if isinstance(e, InvProject):
         child = eval_expr(e.child, alphabet, clause_guard)

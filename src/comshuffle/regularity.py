@@ -3,34 +3,28 @@
 The criterion: the shuffle closure of perm(L) is regular exactly when every
 letter occurring somewhere in L also occurs as a unary word of L.  When it
 holds, the closure has an explicit representation as a finite union of
-diagonal periodic languages, built here as one term per minimal offset of
-each residue class; when it fails, bounded Nerode-class growth is reported as
-evidence (never as a proof).
+diagonal periodic languages, one term per minimal offset of each residue
+class; when it fails, bounded Nerode-class growth is reported as evidence
+(never as a proof).
 
 The criterion is the one-linear-set case of `aperiodic.union_iterated_shuffle`
-(the closure of L is 0 + ⟨L⟩), which the CLI uses for word sets too.  That
-fold and `build_representation` share one conversion, `closure_terms`, which
-turns a recognizable linear set of count vectors into terms.
+(the closure of L is 0 + ⟨L⟩), which the CLI uses for word sets too.
+`build_representation` converts 0 + ⟨L⟩ with that fold's conversion,
+`aperiodic.closure_terms`, a search for the minimal offsets.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from typing import Callable, Iterable, Optional
 
-from .dpl import DiagonalPeriodic, DplUnion, dpl_shift
+from .aperiodic import closure_terms
+from .dpl import DplUnion, dpl_shift
 from .errors import CriterionError, SizeGuardError
-from .progressions import Progression
 from .words import Alphabet, ParikhVector, check_word, parikh, word_order_key
 
 NERODE_MAX_BOUND = 12
-# Offsets `closure_terms` may keep at once: one antichain per residue
-# class, up to prod m_a classes, and the antichains can be wide.
-REPRESENTATION_OFFSET_GUARD = 100_000
 
 
 @dataclass(frozen=True)
@@ -84,75 +78,6 @@ def build_representation(lang: FiniteLang) -> DplUnion:
     zero = (0,) * len(lang.alphabet)
     vectors = [parikh(w, lang.alphabet).counts for w in lang.words]
     return DplUnion(lang.alphabet, closure_terms(lang.alphabet, zero, vectors))
-
-
-def closure_terms(
-    alphabet: Alphabet, base: tuple[int, ...], periods: Iterable[tuple[int, ...]]
-) -> tuple[DiagonalPeriodic, ...]:
-    """The linear set base + ⟨periods⟩ of count vectors as distinct terms,
-    for a recognizable one: each letter of a period also has a unary period.
-
-    Each letter a with a unary period gets the smallest one, m_a, as the
-    period of its progression; a letter without one keeps its base count.
-    The offsets are the base plus sums of the other periods, built as a fold
-    over them.  A period v is added c < ord_v times, ord_v = lcm of
-    m_a / gcd(m_a, v_a), since ord_v copies of v add a multiple of m_a to
-    every letter.  A period of order one thus adds no offset and is skipped.
-    Of the offsets in one residue class mod (m_a), only the
-    componentwise-minimal ones are kept: a larger one gives a term that the
-    smaller one's term contains.  So no term is contained in another.
-    """
-    periods = {p for p in periods if any(p)}
-    unary: dict[int, int] = {}
-    for p in periods:
-        (i, x), *more = [(i, x) for i, x in enumerate(p) if x]
-        if not more:
-            unary[i] = min(unary.get(i, x), x)
-    # modulus one leaves a letter without a unary period at its base count
-    mods = tuple(unary.get(i, 1) for i in range(len(alphabet)))
-    selected = {tuple(m if j == i else 0 for j in range(len(mods))) for i, m in unary.items()}
-    classes = {tuple(y % m for y, m in zip(base, mods)): [tuple(base)]}
-    for v in sorted(periods - selected):
-        order = reduce(math.lcm, (m // math.gcd(m, x) for m, x in zip(mods, v)), 1)
-        if order == 1:
-            continue
-        folded: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        kept = 0
-        for offsets in classes.values():
-            for o in offsets:
-                x = o
-                for _ in range(order):
-                    residue = tuple(map(operator.mod, x, mods))
-                    kept += _add_minimal(folded.setdefault(residue, []), x)
-                    if kept > REPRESENTATION_OFFSET_GUARD:
-                        raise SizeGuardError(
-                            f"representation guard exceeded: more than "
-                            f"{REPRESENTATION_OFFSET_GUARD} kept offsets",
-                            guard="representation_offsets",
-                            limit=REPRESENTATION_OFFSET_GUARD,
-                            observed=kept,
-                        )
-                    x = tuple(map(operator.add, x, v))
-        classes = folded
-    periodic = [i in unary for i in range(len(mods))]
-    return tuple(
-        DiagonalPeriodic(
-            alphabet, tuple(Progression(y, m) if f else y for f, y, m in zip(periodic, o, mods))
-        )
-        for offsets in classes.values()
-        for o in offsets
-    )
-
-
-def _add_minimal(antichain: list[tuple[int, ...]], x: tuple[int, ...]) -> int:
-    """Add x to a list of componentwise-incomparable vectors unless one of them
-    lies below it, dropping those above it; returns the change in length."""
-    if any(all(map(operator.le, k, x)) for k in antichain):
-        return 0
-    before = len(antichain)
-    antichain[:] = [k for k in antichain if not all(map(operator.ge, k, x))]
-    antichain.append(x)
-    return len(antichain) - before
 
 
 def decide_finite(lang: FiniteLang) -> RegularityVerdict:

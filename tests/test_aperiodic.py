@@ -7,10 +7,8 @@ from comshuffle.aperiodic import (
     IntervalConstraint,
     aperiodic_union_from_dict,
     aperiodic_union_to_dict,
-    interval_intersect,
     intervals_to_terms,
     term_iterated_shuffle_normal_form,
-    term_iterated_shuffle_regular,
     union_closure_member,
     union_iterated_shuffle,
     union_member,
@@ -46,24 +44,6 @@ def term(alphabet, word, tail=""):
 def closure_window(u: DplUnion, bound: int) -> VectorSet:
     base = predicate_enumerate(lambda v: union_member(v, u), u.alphabet, bound)
     return closure_under_addition(base, bound)
-
-
-def test_interval_intersect_overlapping():
-    c = interval_intersect(
-        IntervalConstraint("a", 1, 5), IntervalConstraint("a", 3, None)
-    )
-    assert c == IntervalConstraint("a", 3, 5)
-
-
-def test_interval_intersect_empty():
-    assert interval_intersect(
-        IntervalConstraint("a", 0, 2), IntervalConstraint("a", 4, None)
-    ) is None
-
-
-def test_interval_intersect_requires_same_letter():
-    with pytest.raises(ValueError):
-        interval_intersect(IntervalConstraint("a", 0, 2), IntervalConstraint("b", 0, 2))
 
 
 def test_term_member():
@@ -107,11 +87,11 @@ def test_union_shuffle_adds_bases_and_joins_tails():
 
 
 def test_iterated_shuffle_criterion():
-    assert term_iterated_shuffle_regular(term(AB, "aa"))
-    assert term_iterated_shuffle_regular(term(AB, "ab", "ab"))
-    assert term_iterated_shuffle_regular(term(AB, "", "a"))
-    assert not term_iterated_shuffle_regular(term(AB, "ab"))
-    assert not term_iterated_shuffle_regular(term(AB, "ab", "a"))
+    for t in (term(AB, "aa"), term(AB, "ab", "ab"), term(AB, "", "a")):
+        union_iterated_shuffle(DplUnion.of(AB, [t]))
+    for t in (term(AB, "ab"), term(AB, "ab", "a")):
+        with pytest.raises(NonRegularError):
+            union_iterated_shuffle(DplUnion.of(AB, [t]))
 
 
 def test_term_normal_form_unary_base():

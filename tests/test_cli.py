@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from comshuffle import aperiodic, cli, regularity
+from comshuffle import aperiodic, cli
 from comshuffle.automata import dfa_from_dict
 from comshuffle.cli import main
 from comshuffle.dpl import GammaStar, dpl_union_from_dict, dpl_union_member, from_generators
@@ -469,7 +469,7 @@ def test_closure_member_of_a_long_word_with_unary_periods(capsys):
 
 
 def test_representation_guard_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(regularity, "REPRESENTATION_OFFSET_GUARD", 5)
+    monkeypatch.setattr(aperiodic, "REPRESENTATION_OFFSET_GUARD", 5)
     expr = "sh*({aaaaa,bbbbb,ab,ba,aab,aba,baa,abb,bab,bba})"
     code, out, err = run(capsys, "regular", "--alphabet", "ab", expr)
     assert code == 4
@@ -689,13 +689,13 @@ def test_member_of_a_long_word_reads_only_the_fold(capsys, monkeypatch, word, fo
     assert run(capsys, "member", "--alphabet", "abc", word, KEPT_SETS)[:2] == (0, found)
 
 
-def test_projection_of_a_regular_closure_is_the_projection_of_its_normal_form(capsys):
-    # sh*(ab | aa | bb) has a normal form; its projection to {a} is that form
-    # projected term by term, not the closure of the projected union (N)
+def test_projection_of_a_closure_is_the_closure_of_the_projected_union(capsys):
+    # projection is a monoid morphism: the projection of sh*(ab | aa | bb) to
+    # {a} is sh*(a | aa | ε) = a*, one term, not the two terms 2N and 1+2N
+    # that projecting the closure's normal form term by term gives
     code, out, _ = run(
         capsys, "normalize", "--alphabet", "ab", "project(sh*(perm(ab) | aa | bb), {a})"
     )
     assert (code, json.loads(out)["terms"]) == (0, [
-        {"progs": {"a": {"k": 0, "p": 2}}, "support": ["a"]},
-        {"progs": {"a": {"k": 1, "p": 2}}, "support": ["a"]},
+        {"progs": {"a": {"k": 0, "p": 1}}, "support": ["a"]},
     ])

@@ -3,6 +3,7 @@ representation keep no term that another one contains, and say exactly what
 the unpruned constructions say."""
 
 import math
+import operator
 import random
 import time
 from functools import reduce
@@ -10,7 +11,8 @@ from itertools import product
 
 import pytest
 
-from comshuffle import regularity
+from comshuffle import aperiodic
+from comshuffle.aperiodic import REPRESENTATION_OFFSET_GUARD, closure_terms, fold_linear_sets
 from comshuffle.automata import dpl_to_dfa, equivalence_witness, minimize
 from comshuffle.dpl import (
     DiagonalPeriodic,
@@ -23,7 +25,8 @@ from comshuffle.dpl import (
 )
 from comshuffle.progressions import Progression
 from comshuffle.oracle import VectorSet, closure_under_addition, dpl_enumerate
-from comshuffle.regularity import FiniteLang, build_representation, closure_terms
+from comshuffle.errors import SizeGuardError
+from comshuffle.regularity import FiniteLang, build_representation
 from comshuffle.words import Alphabet, ParikhVector, parikh
 
 AB = Alphabet.of("ab")
@@ -211,17 +214,18 @@ def test_maximal_terms_is_the_pairwise_pruning_in_input_order():
 
 def test_closure_terms_skip_a_period_of_order_one(monkeypatch):
     calls = []
-    add_minimal = regularity._add_minimal
+    add_minimal = aperiodic._add_minimal
 
     def spy(antichain, x):
         calls.append(x)
         return add_minimal(antichain, x)
 
-    monkeypatch.setattr(regularity, "_add_minimal", spy)
+    monkeypatch.setattr(aperiodic, "_add_minimal", spy)
     # (2, 3) adds a multiple of the unary periods (2, 0) and (0, 3) to each letter
     periods = {(2, 0), (0, 3), (1, 1)}
     without = closure_terms(AB, (1, 0), periods)
     added = len(calls)
+    assert added > 0
     assert closure_terms(AB, (1, 0), periods | {(2, 3)}) == without
     assert len(calls) == 2 * added
     rng = random.Random(73)
@@ -238,6 +242,98 @@ def test_closure_terms_skip_a_period_of_order_one(monkeypatch):
                 assert closure_terms(alphabet, base, {*periods, v}) == closure_terms(
                     alphabet, base, periods
                 ), (base, periods, v)
+
+
+def reference_closure_terms(alphabet, base, periods):
+    """The fold that `closure_terms` replaced, kept verbatim as its
+    reference: each non-unary period v, but those of order one, is added
+    c < ord_v times to every offset kept so far, ord_v = lcm of
+    m_a / gcd(m_a, v_a); of the offsets in one residue class only the
+    componentwise-minimal ones stay."""
+    periods = {p for p in periods if any(p)}
+    unary: dict[int, int] = {}
+    for p in periods:
+        (i, x), *more = [(i, x) for i, x in enumerate(p) if x]
+        if not more:
+            unary[i] = min(unary.get(i, x), x)
+    # modulus one leaves a letter without a unary period at its base count
+    mods = tuple(unary.get(i, 1) for i in range(len(alphabet)))
+    selected = {tuple(m if j == i else 0 for j in range(len(mods))) for i, m in unary.items()}
+    classes = {tuple(y % m for y, m in zip(base, mods)): [tuple(base)]}
+    for v in sorted(periods - selected):
+        order = reduce(math.lcm, (m // math.gcd(m, x) for m, x in zip(mods, v)), 1)
+        if order == 1:
+            continue
+        folded: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        kept = 0
+        for offsets in classes.values():
+            for o in offsets:
+                x = o
+                for _ in range(order):
+                    residue = tuple(map(operator.mod, x, mods))
+                    kept += reference_add_minimal(folded.setdefault(residue, []), x)
+                    if kept > REPRESENTATION_OFFSET_GUARD:
+                        raise SizeGuardError(
+                            f"representation guard exceeded: more than "
+                            f"{REPRESENTATION_OFFSET_GUARD} kept offsets",
+                            guard="representation_offsets",
+                            limit=REPRESENTATION_OFFSET_GUARD,
+                            observed=kept,
+                        )
+                    x = tuple(map(operator.add, x, v))
+        classes = folded
+    periodic = [i in unary for i in range(len(mods))]
+    return tuple(
+        DiagonalPeriodic(
+            alphabet, tuple(Progression(y, m) if f else y for f, y, m in zip(periodic, o, mods))
+        )
+        for offsets in classes.values()
+        for o in offsets
+    )
+
+
+def reference_add_minimal(antichain, x):
+    """Add x to a list of componentwise-incomparable vectors unless one of them
+    lies below it, dropping those above it; returns the change in length."""
+    if any(all(map(operator.le, k, x)) for k in antichain):
+        return 0
+    before = len(antichain)
+    antichain[:] = [k for k in antichain if not all(map(operator.ge, k, x))]
+    antichain.append(x)
+    return len(antichain) - before
+
+
+def recognizable_fold(p: int, q: int):
+    """The recognizable linear sets of the fold of
+    sh*(perm(ab) | perm(aab) | {a^p} | {b^q})."""
+    points = ((1, 1), (2, 1), (p, 0), (0, q))
+    u = DplUnion.of(AB, [DiagonalPeriodic.perm_shuffle(ParikhVector(AB, v)) for v in points])
+    return [s for s in fold_linear_sets(u) if aperiodic._recognizable(s)]
+
+
+def test_closure_terms_are_the_terms_of_the_reference_fold():
+    rng = random.Random(79)
+    cases = [(AB, *random_linear_set(rng, AB, 4)) for _ in range(150)]
+    cases += [(ABC, *random_linear_set(rng, ABC, 3)) for _ in range(150)]
+    cases += [(AB, *s) for p, q in ((11, 13), (23, 29), (31, 37)) for s in recognizable_fold(p, q)]
+    for alphabet, base, periods in cases:
+        expected = set(reference_closure_terms(alphabet, base, periods))
+        assert set(closure_terms(alphabet, base, periods)) == expected, (base, periods)
+
+
+def test_closure_terms_of_a_large_residue_group_are_fast_and_guarded(monkeypatch):
+    # 97 · 89 = 8633 residue classes; the fold took minutes here
+    sets = recognizable_fold(97, 89)
+    start = time.perf_counter()
+    assert sum(len(closure_terms(AB, *s)) for s in sets) == 17267
+    assert time.perf_counter() - start < 2
+    monkeypatch.setattr(aperiodic, "REPRESENTATION_OFFSET_GUARD", 1000)
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError) as err:
+        for s in sets:
+            closure_terms(AB, *s)
+    assert time.perf_counter() - start < 1
+    assert (err.value.guard, err.value.observed) == ("representation_offsets", 1001)
 
 
 def test_three_term_closure_compiles_and_minimizes_fast():

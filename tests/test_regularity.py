@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from comshuffle import regularity
+from comshuffle import aperiodic
 from comshuffle.errors import CriterionError, SizeGuardError
 from comshuffle.oracle import (
     closure_under_addition,
@@ -98,7 +98,7 @@ def test_build_representation_requires_unary_words():
 
 def test_build_representation_offset_guard(monkeypatch):
     lang = FiniteLang.of(AB, ["aaaaa", "bbbbb", "ab", "aab", "abb"])
-    monkeypatch.setattr(regularity, "REPRESENTATION_OFFSET_GUARD", 5)
+    monkeypatch.setattr(aperiodic, "REPRESENTATION_OFFSET_GUARD", 5)
     with pytest.raises(SizeGuardError) as err:
         build_representation(lang)
     assert err.value.guard == "representation_offsets"

@@ -353,6 +353,27 @@ def test_projection_of_a_closure_is_exact():
     assert kinds.keys() == {("dpl", "dpl"), ("closure", "dpl"), ("closure", "closure")}
 
 
+def test_projected_closure_converts_to_the_projected_normal_form():
+    # the closure of the projected union converts on its own, to a normal
+    # form equivalent to the projection of the child closure's normal form
+    rng = random.Random(2003)
+    compared = 0
+    for _ in range(100):
+        u = random_union(rng, ABC, 3)
+        try:
+            closure = union_iterated_shuffle(u)
+        except (NonRegularError, UndecidedError):
+            continue
+        text = union_text(u)
+        for keep in ("ab", "ac", "bc"):
+            value = eval_expr(parse(f"project(sh*({text}), {{{','.join(keep)}}})", ABC)[0], ABC)
+            expected = minimize(dpl_to_dfa(dpl_project(closure, keep)))
+            witness = equivalence_witness(expected, minimize(dpl_to_dfa(_as_union(value))))
+            assert witness is None, (u, keep, witness)
+            compared += 1
+    assert compared >= 90
+
+
 def test_cli_member_of_a_closure_agrees_with_the_oracle_and_the_normal_form(capsys):
     # member answers every sh* from its fold; over random 2–4 term unions with
     # exact counts (regular, non-regular and undecided closures) and the
