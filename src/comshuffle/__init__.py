@@ -1,6 +1,7 @@
 """Algebra of commutative regular languages in diagonal periodic normal form."""
 
 from .aperiodic import (
+    Closure,
     IntervalConstraint,
     intervals_to_terms,
     term_iterated_shuffle_normal_form,

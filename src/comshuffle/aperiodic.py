@@ -12,7 +12,7 @@ letters with a unary period is recognizable and converts to terms exactly
 (`closure_terms`, a search for the minimal offsets of each residue class).
 Each other one is absorbed, exactly, by a walk on a DFA of the recognizable
 part, or a sub-alphabet certificate proves the closure not regular, or the
-computation reports it undecided.
+computation reports it undecided.  A `Closure` holds one iterated shuffle.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, count, product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .dpl import (
     DiagonalPeriodic,
@@ -119,8 +119,8 @@ def aperiodic_union_to_dict(u: DplUnion) -> dict:
 
 
 def term_iterated_shuffle_normal_form(t: DiagonalPeriodic) -> DplUnion:
-    """Closure of one term: the fold of `union_iterated_shuffle` on it."""
-    return union_iterated_shuffle(DplUnion.of(t.alphabet, [t]))
+    """Closure of one term, as a union of terms."""
+    return Closure(DplUnion.of(t.alphabet, [t])).normal_form
 
 
 # --- iterated shuffle of whole unions -------------------------------------
@@ -366,12 +366,6 @@ def fold_linear_sets(u: DplUnion) -> list[Linear]:
     return sorted(sets, key=lambda s: not _recognizable(s))
 
 
-def in_linear_sets(v: Vector, sets: Iterable[Linear]) -> bool:
-    """Whether the count vector v lies in one of the linear sets b + ⟨P⟩:
-    v - b is a sum of periods."""
-    return any(_in_monoid(_minus(v, b), p) for b, p in sets)
-
-
 def _recognizable(s: Linear) -> bool:
     """Every letter of a non-unary period also has a unary period."""
     unary = {i for p in s[1] if _is_unary(p) for i, x in enumerate(p) if x}
@@ -553,32 +547,56 @@ def _escapes(r: DplUnion, s: Linear) -> Optional[list[Vector]]:
     return out
 
 
-def union_iterated_shuffle(
-    u: DplUnion, fold: Callable[[DplUnion], list[Linear]] = fold_linear_sets
-) -> DplUnion:
-    """Iterated shuffle of a union of terms, with any periods and exact
-    counts, exactly or with a proof that it is not regular.
+@dataclass(frozen=True)
+class Closure:
+    """The iterated shuffle of `union`, computed on first use and at most
+    once per object: its fold of linear sets (`fold_linear_sets`), which
+    answers membership (`union_closure_member`), and its normal form, which
+    `union_iterated_shuffle` converts from that fold where terms are needed.
+    A closure proven not regular, or undecided, has no normal form; reading
+    one raises that error again."""
 
-    `fold_linear_sets` gives the closure as linear sets, and the
-    recognizable ones convert to terms by `closure_terms`.  If
-    some are not, `_certify_non_regular` raises `NonRegularError` when it
-    applies; otherwise each of them is walked on a DFA of the converted part
-    (`_escapes`), and its finitely many escaping slices join the result, or
-    `UndecidedError` names it.  No term of the result lies in another.
-    Either error carries the fold as `linear_sets`, for exact membership in
-    the closure (`in_linear_sets`) without folding again.  `fold` gives the
-    fold of u: a caller that keeps one passes it here.
-    """
-    alphabet = u.alphabet
-    sets = fold(u)
-    converted = [s for s in sets if _recognizable(s)]
-    rest = [s for s in sets if not _recognizable(s)]
-    if rest:
+    union: DplUnion
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.union.alphabet
+
+    @cached_property
+    def linear_sets(self) -> list[Linear]:
+        return fold_linear_sets(self.union)
+
+    @cached_property
+    def _normal_form(self) -> DplUnion | NonRegularError | UndecidedError:
         try:
-            _certify_non_regular(u)
-        except NonRegularError as err:
-            err.linear_sets = sets
-            raise
+            return union_iterated_shuffle(self)
+        except (NonRegularError, UndecidedError) as err:
+            return err
+
+    @property
+    def normal_form(self) -> DplUnion:
+        """The closure as a union of terms, or the error that it has none."""
+        if isinstance(nf := self._normal_form, DplUnion):
+            return nf
+        raise nf
+
+
+def union_iterated_shuffle(closure: Closure) -> DplUnion:
+    """A closure's normal form, exact or with a proof that it is not regular;
+    `Closure.normal_form` keeps it.
+
+    The recognizable linear sets of the fold convert to terms by
+    `closure_terms`.  If some are not, `_certify_non_regular` raises
+    `NonRegularError` when it applies; otherwise each of them is walked on a
+    DFA of the converted part (`_escapes`), and its finitely many escaping
+    slices join the result, or `UndecidedError` names it.  No term of the
+    result lies in another.
+    """
+    alphabet = closure.alphabet
+    converted = [s for s in closure.linear_sets if _recognizable(s)]
+    rest = [s for s in closure.linear_sets if not _recognizable(s)]
+    if rest:
+        _certify_non_regular(closure.union)
     regular = DplUnion.of(alphabet, [t for s in converted for t in closure_terms(alphabet, *s)])
     if len(converted) > 1:  # one set's terms already form an antichain
         regular = maximal_terms(regular)
@@ -586,20 +604,17 @@ def union_iterated_shuffle(
     for s in rest:
         escapes = _escapes(regular, s)
         if escapes is None:
-            err = UndecidedError(
+            raise UndecidedError(
                 f"iterated shuffle undecided: the linear set {_words(alphabet, [s[0]])[0] or 'ε'}"
                 f" + ⟨{', '.join(_words(alphabet, s[1]))}⟩ is not absorbed by the regular part"
             )
-            err.linear_sets = sets
-            raise err
         units = frozenset(p for p in s[1] if _is_unary(p))
         terms += [t for v in escapes for t in closure_terms(alphabet, v, units)]
     return maximal_terms(DplUnion.of(alphabet, terms)) if rest else regular
 
 
-def union_closure_member(v: ParikhVector, u: DplUnion) -> bool:
-    """Exact membership in the iterated shuffle of any union: whether v lies
-    in a linear set of its fold."""
-    if v.alphabet != u.alphabet:
-        raise ValueError("alphabet mismatch")
-    return in_linear_sets(v.counts, fold_linear_sets(u))
+def union_closure_member(counts: Vector, closure: Closure) -> bool:
+    """Exact membership of a count vector in a closure: whether it lies in a
+    linear set b + ⟨P⟩ of the closure's fold, that is, counts - b is a sum of
+    periods."""
+    return any(_in_monoid(_minus(counts, b), p) for b, p in closure.linear_sets)

@@ -2,19 +2,19 @@
 
 Commands: normalize, member, regular (alias regular?), dfa, check, report.
 An expression evaluates to a `DplUnion`, a `FiniteLang` (an exact word set)
-or a `Closure`.  A word set stays one under `|` and `<>` with word sets, `&`
-and `project`; elsewhere `_as_union` converts it to its Parikh image when it
-is permutation closed, and refuses it otherwise (outside the fragment).
-Every iterated shuffle, of a union or of a word set's Parikh image, is a
-`Closure`, computed on first use.  `member` answers it from its fold of
-linear sets (`aperiodic.union_closure_member`) and builds no normal form.
-The operators, `invproject`, `normalize`, `regular`, `dfa`, `report` and
-`check` read its normal form (`aperiodic.union_iterated_shuffle`).  A
-closure proven not regular, or undecided, has none: `member` and `check`
-answer on it exactly, `regular` prints the non-regularity certificate, and
-`normalize`, `dfa` and `report` exit 3.  A projection of a closure is the
-closure of the projected union (projection is a monoid morphism), and
-converts like any other closure.
+or an `aperiodic.Closure`.  A word set stays one under `|` and `<>` with word
+sets, `&` and `project`; elsewhere `_as_union` converts it to its Parikh
+image when it is permutation closed, and refuses it otherwise (outside the
+fragment).  Every iterated shuffle, of a union or of a word set's Parikh
+image, is a `Closure`, computed on first use.  Membership in it, for
+`member`, `&` with a word set and `check`, reads its fold of linear sets
+(`aperiodic.union_closure_member`), so `member` builds no normal form.  The
+other operators, `invproject`, `normalize`, `regular`, `dfa`, `report` and
+`check` read its normal form.  A closure proven not regular, or undecided,
+has none: `member` and `check` answer on it exactly, `regular` prints the
+non-regularity certificate, and `normalize`, `dfa` and `report` exit 3.  A
+projection of a closure is the closure of the projected union (projection
+is a monoid morphism), and converts like any other closure.
 Exit codes: 0 success, 2 syntax error, 3 outside the implemented fragment,
 undecided or not regular, 4 resource guard exceeded, 5 oracle mismatch.
 """
@@ -27,18 +27,11 @@ import os
 import sys
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from math import comb
 from typing import Optional
 
-from .aperiodic import (
-    Linear,
-    fold_linear_sets,
-    in_linear_sets,
-    union_closure_member,
-    union_iterated_shuffle,
-)
+from .aperiodic import Closure, union_closure_member
 from .automata import (
     STATE_GUARD_DEFAULT,
     dfa_to_dict,
@@ -102,42 +95,6 @@ DEFAULT_CHECK_BOUND = 8
 WORD_SHUFFLE_MAX_LEN = 12
 WORD_SHUFFLE_MAX_WORDS = 50_000
 PROJECT_ORACLE_SLACK = 12
-
-
-@dataclass(frozen=True)
-class Closure:
-    """The iterated shuffle of `union`, computed on first use and at most
-    once per object: its fold of linear sets, which answers membership, and
-    its normal form where a command needs terms, which
-    `union_iterated_shuffle` builds from that fold.  A closure proven not
-    regular, or undecided, has no normal form; reading one raises that error
-    again."""
-
-    union: DplUnion
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.union.alphabet
-
-    @cached_property
-    def linear_sets(self) -> list[Linear]:
-        """The closure's fold."""
-        return fold_linear_sets(self.union)
-
-    @cached_property
-    def _normal_form(self) -> DplUnion | NonRegularError | UndecidedError:
-        try:
-            # the conversion reads the fold kept here, and makes it if none is
-            return union_iterated_shuffle(self.union, lambda _: self.linear_sets)
-        except (NonRegularError, UndecidedError) as err:
-            return err
-
-    @property
-    def normal_form(self) -> DplUnion:
-        """The closure as a union of terms, or the error that it has none."""
-        if isinstance(nf := self._normal_form, DplUnion):
-            return nf
-        raise nf
 
 
 def _shuffle_pair_words(w1: str, w2: str) -> set[str]:
@@ -204,7 +161,7 @@ def _member_counts(v: DplUnion | Closure, counts: tuple[int, ...]) -> bool:
     """Membership of a count vector in a union, or in a closure's fold."""
     if isinstance(v, DplUnion):
         return any(all(map(in_count_set, counts, t.sets)) for t in v.terms)
-    return in_linear_sets(counts, v.linear_sets)
+    return union_closure_member(counts, v)
 
 
 def _member_word(v: DplUnion | FiniteLang | Closure, w: str) -> bool:
@@ -393,23 +350,17 @@ def cmd_normalize(args) -> int:
 
 def cmd_member(args) -> int:
     """Print whether the word is in the value.  A closure answers from its
-    fold, in one `union_closure_member` call, and builds no normal form: so
-    a closure that has none, or whose conversion would trip a guard or take
+    fold (`aperiodic.union_closure_member`) and builds no normal form: so a
+    closure that has none, or whose conversion would trip a guard or take
     long, answers too."""
     e, alphabet = _resolve(args)
     for a in args.word:
         if a not in alphabet:
             raise ParseError(f"unknown letter {a!r} in word")
     value = eval_expr(e, alphabet, args.guard_clauses)
-    if not set(args.word) <= set(value.alphabet):
-        # a projection's value lacks some session letters: no word using one
-        # of them is a member
-        found = False
-    elif isinstance(value, Closure):
-        # one question: the fold and its test in one call, nothing kept
-        found = union_closure_member(parikh(args.word, value.alphabet), value.union)
-    else:
-        found = _member_word(value, args.word)
+    # a projection's value lacks some session letters: no word using one of
+    # them is a member
+    found = set(args.word) <= set(value.alphabet) and _member_word(value, args.word)
     print("true" if found else "false")
     return 0
 

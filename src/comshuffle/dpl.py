@@ -8,8 +8,8 @@ term whose progressions all have period one is perm(u) ⧢ Γ*.  Finite unions
 of these are closed under union, intersection, binary shuffle, projection and
 inverse projection, which is what this module implements.  They are closed
 under iterated shuffle too when no term has a nonzero exact count;
-`dpl_iterated_shuffle` takes such unions to the linear-set fold of
-`aperiodic.union_iterated_shuffle`, the one iterated-shuffle algorithm.
+`dpl_iterated_shuffle` gives such a union's `aperiodic.Closure` normal form,
+converted from the linear-set fold, the one iterated-shuffle algorithm.
 """
 
 from __future__ import annotations
@@ -207,6 +207,20 @@ def _size_key(t: DiagonalPeriodic) -> tuple[int, int, int]:
     return least, exact, periods
 
 
+def _residues(sets: Sequence[CountSet], periods: tuple[Optional[int], ...]) -> Optional[tuple]:
+    """Per letter, a term's least count modulo the period (the count itself
+    where it is None); None if no term with these periods contains the term:
+    one does not divide the term's, or is None where the term has one."""
+    key = []
+    for s, p in zip(sets, periods):
+        if isinstance(s, Progression):
+            if p is None or s.period % p:
+                return None
+            s = s.offset
+        key.append(s if p is None else s % p)
+    return tuple(key)
+
+
 def maximal_terms(u: DplUnion) -> DplUnion:
     """The union without the terms that another of its terms contains; the
     kept terms keep their order in u, and u itself is returned when none is
@@ -223,14 +237,27 @@ def maximal_terms(u: DplUnion) -> DplUnion:
     A term that some term contains is therefore contained in a kept one
     taken before it (containment is transitive), and a kept term is
     contained in none.
+
+    The kept terms are filed by their period vector (None on a letter with
+    an exact count), then by their least counts modulo it (`_residues`).
+    Letter by letter, t2's least count agrees with t1's modulo t2's period,
+    so t1 is tested only against the kept terms filed under its own
+    residues, for each period vector filed so far.
     """
-    kept: list[DiagonalPeriodic] = []
+    kept: dict[tuple[Optional[int], ...], dict[tuple[int, ...], list[DiagonalPeriodic]]] = {}
+    n = 0
     for t in sorted(u.terms, key=_size_key):
-        if not any(term_subset(t, k) for k in kept):
-            kept.append(t)
-    if len(kept) == len(u.terms):
+        for periods, filed in kept.items():
+            near = filed.get(_residues(t.sets, periods))
+            if near and any(term_subset(t, k) for k in near):
+                break
+        else:
+            periods = tuple([s.period if isinstance(s, Progression) else None for s in t.sets])
+            kept.setdefault(periods, {}).setdefault(_residues(t.sets, periods), []).append(t)
+            n += 1
+    if n == len(u.terms):
         return u
-    keep = set(kept)
+    keep = {t for filed in kept.values() for ts in filed.values() for t in ts}
     return DplUnion(u.alphabet, tuple(t for t in u.terms if t in keep))
 
 
@@ -316,9 +343,9 @@ def dpl_iterated_shuffle(u: DplUnion) -> DplUnion:
                 letter=letter,
             )
     # imported here: aperiodic builds on this module
-    from .aperiodic import union_iterated_shuffle
+    from .aperiodic import Closure
 
-    return union_iterated_shuffle(u)
+    return Closure(u).normal_form
 
 
 def dpl_project(u: DplUnion, keep: Iterable[str]) -> DplUnion:
@@ -517,10 +544,6 @@ def dpl_union_to_dict(u: DplUnion) -> dict:
     return {"alphabet": list(u.alphabet.letters), "terms": terms}
 
 
-def dpl_union_to_json(u: DplUnion) -> str:
-    return json.dumps(dpl_union_to_dict(u), sort_keys=True)
-
-
 def dpl_union_from_dict(data: dict) -> DplUnion:
     alphabet = Alphabet.of(data["alphabet"])
     terms = []
@@ -530,7 +553,3 @@ def dpl_union_from_dict(data: dict) -> DplUnion:
             raise ValueError("support and progs disagree")
         terms.append(DiagonalPeriodic.make(alphabet, progs, t.get("exact", {})))
     return DplUnion.of(alphabet, terms)
-
-
-def dpl_union_from_json(text: str) -> DplUnion:
-    return dpl_union_from_dict(json.loads(text))

@@ -34,9 +34,7 @@ class CriterionError(ComshuffleError):
 
 class NonRegularError(CriterionError):
     """The iterated shuffle is proven not regular: `letter` occurs in its
-    restriction to the letters `subalphabet` without a unary period.
-    `aperiodic.union_iterated_shuffle` sets `linear_sets` to the closure's
-    fold."""
+    restriction to the letters `subalphabet` without a unary period."""
 
     def __init__(self, message, letter, subalphabet):
         super().__init__(message, letter)
@@ -62,6 +60,4 @@ class FragmentError(ComshuffleError):
 
 
 class UndecidedError(ComshuffleError):
-    """The implemented sufficient criteria neither confirm nor refute the query.
-    `aperiodic.union_iterated_shuffle` sets `linear_sets` to the closure's
-    fold."""
+    """The implemented sufficient criteria neither confirm nor refute the query."""

@@ -4,8 +4,9 @@ The criterion: the shuffle closure of perm(L) is regular exactly when every
 letter occurring somewhere in L also occurs as a unary word of L.  When it
 holds, the closure has an explicit representation as a finite union of
 diagonal periodic languages, one term per minimal offset of each residue
-class; when it fails, bounded Nerode-class growth is reported as evidence
-(never as a proof).
+class; when it fails, a letter without a unary word proves it.
+`nerode_evidence` is a separate bounded tool: Nerode-class growth as
+evidence, never as a proof.
 
 The criterion is the one-linear-set case of `aperiodic.union_iterated_shuffle`
 (the closure of L is 0 + ⟨L⟩), which the CLI uses for word sets too.

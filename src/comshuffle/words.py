@@ -92,10 +92,6 @@ class ParikhVector:
         sub = self.alphabet.restrict(letters)
         return ParikhVector(sub, tuple(self[a] for a in sub))
 
-    def lift(self, alphabet: Alphabet) -> "ParikhVector":
-        """Vector over a super-alphabet, zero on the new letters."""
-        return ParikhVector(alphabet, tuple(self[a] if a in self.alphabet else 0 for a in alphabet))
-
     def as_dict(self) -> dict[str, int]:
         return {a: c for a, c in zip(self.alphabet, self.counts)}
 

@@ -11,11 +11,7 @@ from itertools import product
 
 import pytest
 
-from comshuffle.aperiodic import (
-    union_closure_member,
-    union_iterated_shuffle,
-    union_member,
-)
+from comshuffle.aperiodic import Closure, union_closure_member, union_member
 from comshuffle.automata import (
     Dfa,
     dpl_to_dfa,
@@ -331,14 +327,14 @@ def test_criterion_10_aperiodic_worked_examples():
     for item in (item1, item2):
         # proven: {a,b}* ∩ item is perm(ab) and a has no unary period there
         with pytest.raises(NonRegularError) as err:
-            union_iterated_shuffle(item)
+            Closure(item).normal_form
         assert (err.value.letter, err.value.subalphabet) == ("a", ("a", "b"))
         cache = {}
 
-        def member(w, item=item, cache=cache):
+        def member(w, closure=Closure(item), cache=cache):
             v = parikh(w, ABC)
             if v not in cache:
-                cache[v] = union_closure_member(v, item)
+                cache[v] = union_closure_member(v.counts, closure)
             return cache[v]
 
         ev = nerode_evidence(member, ABC, 5)
@@ -346,7 +342,7 @@ def test_criterion_10_aperiodic_worked_examples():
         assert counts[3] < counts[4] < counts[5]
 
     for item in (item3, item4):
-        closure = union_iterated_shuffle(item)
+        closure = Closure(item).normal_form
         base = predicate_enumerate(
             lambda v: union_member(v, item), ABC, EXAMPLE_BOUND
         )

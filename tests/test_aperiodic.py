@@ -4,13 +4,13 @@ import pytest
 
 from comshuffle import aperiodic
 from comshuffle.aperiodic import (
+    Closure,
     IntervalConstraint,
     aperiodic_union_from_dict,
     aperiodic_union_to_dict,
     intervals_to_terms,
     term_iterated_shuffle_normal_form,
     union_closure_member,
-    union_iterated_shuffle,
     union_member,
     union_project,
     union_shuffle,
@@ -20,7 +20,7 @@ from comshuffle.dpl import (
     DplUnion,
     dpl_member,
     dpl_union_member,
-    dpl_union_to_json,
+    dpl_union_to_dict,
 )
 from comshuffle.errors import CriterionError, NonRegularError, SizeGuardError
 from comshuffle.oracle import (
@@ -31,7 +31,7 @@ from comshuffle.oracle import (
     sets_equal,
 )
 from comshuffle.progressions import Progression
-from comshuffle.words import Alphabet, ParikhVector, parikh
+from comshuffle.words import Alphabet, parikh
 
 AB = Alphabet.of("ab")
 ABC = Alphabet.of("abc")
@@ -88,10 +88,10 @@ def test_union_shuffle_adds_bases_and_joins_tails():
 
 def test_iterated_shuffle_criterion():
     for t in (term(AB, "aa"), term(AB, "ab", "ab"), term(AB, "", "a")):
-        union_iterated_shuffle(DplUnion.of(AB, [t]))
+        Closure(DplUnion.of(AB, [t])).normal_form
     for t in (term(AB, "ab"), term(AB, "ab", "a")):
         with pytest.raises(NonRegularError):
-            union_iterated_shuffle(DplUnion.of(AB, [t]))
+            Closure(DplUnion.of(AB, [t])).normal_form
 
 
 def test_term_normal_form_unary_base():
@@ -132,7 +132,10 @@ def test_union_closure_member_matches_oracle():
     ]
     for u, bound in unions:
         expected = closure_window(u, bound)
-        got = predicate_enumerate(lambda v: union_closure_member(v, u), u.alphabet, bound)
+        closure = Closure(u)
+        got = predicate_enumerate(
+            lambda v: union_closure_member(v.counts, closure), u.alphabet, bound
+        )
         ok, cex = sets_equal(got, expected)
         assert ok, f"disagree at {cex.as_dict() if cex else None}"
 
@@ -142,9 +145,10 @@ def test_union_closure_member_state_guard(monkeypatch):
     # about n² states before it can say so
     monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 50)
     u = DplUnion.of(ABC, [term(ABC, "ab"), term(ABC, "bc")])
-    assert union_closure_member(parikh("aabbbbcc", ABC), u)
+    closure = Closure(u)
+    assert union_closure_member(parikh("aabbbbcc", ABC).counts, closure)
     with pytest.raises(SizeGuardError) as err:
-        union_closure_member(parikh("a" * 10 + "b" * 21 + "c" * 10, ABC), u)
+        union_closure_member(parikh("a" * 10 + "b" * 21 + "c" * 10, ABC).counts, closure)
     assert err.value.guard == "closure_member_states"
     assert err.value.limit == 50
     assert err.value.observed > 50
@@ -152,7 +156,7 @@ def test_union_closure_member_state_guard(monkeypatch):
 
 def test_union_iterated_shuffle_simple_union():
     u = DplUnion.of(AB, [term(AB, "a"), term(AB, "bb")])
-    closure = union_iterated_shuffle(u)
+    closure = Closure(u).normal_form
     got = predicate_enumerate(lambda v: dpl_union_member(v, closure), AB, 10)
     expected = closure_window(u, 10)
     ok, cex = sets_equal(got, expected)
@@ -162,7 +166,7 @@ def test_union_iterated_shuffle_simple_union():
 def test_union_iterated_shuffle_undecided_for_equal_counts():
     u = DplUnion.of(AB, [term(AB, "ab")])
     with pytest.raises(NonRegularError) as err:
-        union_iterated_shuffle(u)
+        Closure(u).normal_form
     assert (err.value.letter, err.value.subalphabet) == ("a", ("a", "b"))
 
 
@@ -171,7 +175,7 @@ def test_union_iterated_shuffle_term_guard(monkeypatch):
     monkeypatch.setattr(aperiodic, "CLOSURE_LINEAR_SET_GUARD", 3)
     terms = [term(AB, "a", "b"), term(AB, "aa", "b"), term(AB, "ab")]
     with pytest.raises(SizeGuardError) as err:
-        union_iterated_shuffle(DplUnion.of(AB, terms))
+        Closure(DplUnion.of(AB, terms)).normal_form
     assert err.value.guard == "closure_linear_sets"
     assert err.value.limit == 3
     assert err.value.observed == 4
@@ -180,7 +184,7 @@ def test_union_iterated_shuffle_term_guard(monkeypatch):
 def test_serialization_round_trip():
     u = DplUnion.of(ABC, [term(ABC, "ab", "c"), term(ABC, "c", "ab")])
     back = aperiodic_union_from_dict(aperiodic_union_to_dict(u))
-    assert dpl_union_to_json(back) == dpl_union_to_json(u)
+    assert dpl_union_to_dict(back) == dpl_union_to_dict(u)
     for v in all_vectors(ABC, 5):
         assert union_member(v, back) == union_member(v, u)
 
@@ -292,8 +296,8 @@ def test_membership_tries_the_recognizable_linear_sets_first(monkeypatch):
         DiagonalPeriodic(AB, (Progression(2, 1), Progression(2, 2))),
         DiagonalPeriodic(AB, (Progression(1, 3), 1)),
     ])
-    sets = aperiodic.fold_linear_sets(u)
-    kinds = [aperiodic._recognizable(s) for s in sets]
+    closure = Closure(u)
+    kinds = [aperiodic._recognizable(s) for s in closure.linear_sets]
     assert kinds == sorted(kinds, reverse=True) and not all(kinds)
     monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 50)
-    assert union_closure_member(ParikhVector(AB, (34, 58)), u)
+    assert union_closure_member((34, 58), closure)

@@ -422,7 +422,6 @@ def test_check_folds_a_closure_once(capsys, monkeypatch):
     fold = aperiodic.fold_linear_sets
     counted = lambda u: calls.append(u) or fold(u)
     monkeypatch.setattr(aperiodic, "fold_linear_sets", counted)
-    monkeypatch.setattr(cli, "fold_linear_sets", counted)
     code, out, _ = run(
         capsys, "check", "--alphabet", "abc", "--bound", "9", "sh*({ab,ba,bc,cb,aac,aca,caa})"
     )
@@ -586,10 +585,10 @@ def test_a_closure_without_a_normal_form_has_no_automaton(capsys):
 # --- a closure computes its normal form only where a command reads terms ---
 
 def _refuse_normal_form(monkeypatch):
-    def refuse(u, fold=None):
+    def refuse(closure):
         raise AssertionError("normal form built")
 
-    monkeypatch.setattr(cli, "union_iterated_shuffle", refuse)
+    monkeypatch.setattr(aperiodic, "union_iterated_shuffle", refuse)
 
 
 @pytest.mark.parametrize(
@@ -628,7 +627,7 @@ def test_every_other_reader_of_a_closure_builds_its_normal_form(monkeypatch, arg
 def test_check_compares_a_closure_by_its_normal_form(capsys, monkeypatch):
     # a wrong conversion is caught: Σ* in place of sh*(F(a,1,2)), which lacks b
     sigma_star = from_generators(GammaStar(frozenset("ab")), Alphabet.of("ab"))
-    monkeypatch.setattr(cli, "union_iterated_shuffle", lambda u, fold: sigma_star)
+    monkeypatch.setattr(aperiodic, "union_iterated_shuffle", lambda closure: sigma_star)
     code, out, _ = run(capsys, "check", "--alphabet", "ab", "--bound", "6", "sh*(F(a,1,2))")
     assert (code, out) == (5, "FAIL at {'a': 0, 'b': 1} (bound 6)\n")
 
@@ -651,7 +650,6 @@ def test_a_command_folds_a_closure_once(capsys, monkeypatch, argv, shown):
         return fold(u)
 
     monkeypatch.setattr(aperiodic, "fold_linear_sets", counted)
-    monkeypatch.setattr(cli, "fold_linear_sets", counted)
     assert run(capsys, *argv)[:2] == (0, shown + "\n")
     assert len(calls) == 1
 

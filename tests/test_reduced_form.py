@@ -12,7 +12,12 @@ from itertools import product
 import pytest
 
 from comshuffle import aperiodic
-from comshuffle.aperiodic import REPRESENTATION_OFFSET_GUARD, closure_terms, fold_linear_sets
+from comshuffle.aperiodic import (
+    REPRESENTATION_OFFSET_GUARD,
+    Closure,
+    closure_terms,
+    fold_linear_sets,
+)
 from comshuffle.automata import dpl_to_dfa, equivalence_witness, minimize
 from comshuffle.dpl import (
     DiagonalPeriodic,
@@ -303,12 +308,15 @@ def reference_add_minimal(antichain, x):
     return len(antichain) - before
 
 
-def recognizable_fold(p: int, q: int):
-    """The recognizable linear sets of the fold of
-    sh*(perm(ab) | perm(aab) | {a^p} | {b^q})."""
+def probe_union(p: int, q: int) -> DplUnion:
+    """perm(ab) | perm(aab) | {a^p} | {b^q}."""
     points = ((1, 1), (2, 1), (p, 0), (0, q))
-    u = DplUnion.of(AB, [DiagonalPeriodic.perm_shuffle(ParikhVector(AB, v)) for v in points])
-    return [s for s in fold_linear_sets(u) if aperiodic._recognizable(s)]
+    return DplUnion.of(AB, [DiagonalPeriodic.perm_shuffle(ParikhVector(AB, v)) for v in points])
+
+
+def recognizable_fold(p: int, q: int):
+    """The recognizable linear sets of the fold of sh*(`probe_union(p, q)`)."""
+    return [s for s in fold_linear_sets(probe_union(p, q)) if aperiodic._recognizable(s)]
 
 
 def test_closure_terms_are_the_terms_of_the_reference_fold():
@@ -334,6 +342,14 @@ def test_closure_terms_of_a_large_residue_group_are_fast_and_guarded(monkeypatch
             closure_terms(AB, *s)
     assert time.perf_counter() - start < 1
     assert (err.value.guard, err.value.observed) == ("representation_offsets", 1001)
+
+
+def test_normal_form_of_a_large_residue_group_is_fast():
+    # maximal_terms tests each of the 17267 converted terms only against the
+    # kept terms of its residue class, not against every kept term
+    start = time.perf_counter()
+    assert len(Closure(probe_union(97, 89)).normal_form.terms) == 8633
+    assert time.perf_counter() - start < 2
 
 
 def test_three_term_closure_compiles_and_minimizes_fast():
