@@ -18,13 +18,12 @@ computation reports it undecided.  A `Closure` holds one iterated shuffle.
 from __future__ import annotations
 
 import heapq
-import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, count, product
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import combinations, product
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .dpl import (
     DiagonalPeriodic,
@@ -40,13 +39,14 @@ from .dpl import (
     maximal_terms,
 )
 from .errors import NonRegularError, SizeGuardError, UndecidedError
-from .progressions import Progression, semigroup_elements
+from .progressions import Progression
 from .words import Alphabet, ParikhVector, word_of
 
 # Linear sets one fold step may hold before pruning: n terms give up to 2^n.
 CLOSURE_LINEAR_SET_GUARD = 2048
-# Vectors one search may visit: remainders of a monoid membership test (about
-# n² for counts near n in the closure of {ab, bc}) or states of a walk.
+# Vectors one search may visit: offsets that join a residue class in a monoid
+# membership test (about n² for counts near n in the closure of {ab, bc}, whose
+# letters have no unary period) or states of a walk.
 CLOSURE_MEMBER_STATE_GUARD = 100_000
 # Offsets that may join an antichain in `closure_terms`: one antichain per
 # residue class, up to prod m_a classes, and the antichains can be wide.
@@ -164,157 +164,26 @@ def _reach(sources: Iterable[Vector], nexts) -> set[Vector]:
     return set(_walk(sources, nexts))
 
 
-# Per letter with unary generators: its index, their gcd g, the count from
-# which every multiple of g is a sum of them, and (w_y, s_w) for each walked
-# generator w with w_y > 0, s_w its total on the letters without one.
-Caps = tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]
-# A non-unary generator and how many times at most the search takes it off
-# (None: as often as the remainder allows).
-Stage = tuple[Vector, Optional[int]]
-
-
-@lru_cache(maxsize=1024)
-def _split(gens: frozenset[Vector], n: int) -> tuple[
-    tuple[tuple[int, ...], ...], tuple[Stage, ...], int, tuple[int, ...], Caps
-]:
-    """How `_in_monoid` searches gens, over n letters: per letter, the
-    sorted counts of the unary generators on it; the stages, one per
-    non-unary generator but those of order 1 (sums of unary ones), in the
-    order the search takes them; the index of the first stage whose
-    generator has a letter without a unary generator, a bare letter; the
-    bare letters; and the caps of `_cap`."""
-    units: list[set[int]] = [set() for _ in range(n)]
-    mixed = []
-    for g in gens:
-        (i, x), *more = [(i, x) for i, x in enumerate(g) if x]
-        if more:
-            mixed.append(g)
-        else:
-            units[i].add(x)
-    sums = tuple(tuple(sorted(u)) for u in units)
-    bounded, walked = [], []
-    for g in mixed:
-        if all(units[i] for i, x in enumerate(g) if x):
-            order = math.lcm(
-                *(min(m // math.gcd(m, x) for m in units[i]) for i, x in enumerate(g) if x)
-            )
-            if order > 1:
-                bounded.append((g, order))
-        else:
-            walked.append(g)
-    bare = tuple(i for i in range(n) if not units[i])
-    caps = []
-    for y, u in enumerate(units):
-        if u:
-            g, lo, hi = math.gcd(*u), min(u), max(u)
-            least = (lo // g - 1) * (hi // g - 1) * g if len(u) > 1 else 0
-            takes = tuple((w[y], sum(w[x] for x in bare)) for w in walked if w[y])
-            caps.append((y, g, least, takes))
-    stages = (*bounded, *((w, None) for w in sorted(walked)))
-    return sums, stages, len(bounded), bare, tuple(caps)
-
-
-@lru_cache(maxsize=256)
-def _small_sums(periods: tuple[int, ...], limit: int) -> frozenset[int]:
-    """The sums of the periods below limit."""
-    return frozenset(semigroup_elements(periods, limit))
-
-
-def _sum_of(x: int, periods: tuple[int, ...]) -> bool:
-    """Whether the count x >= 0 is a sum of the sorted periods (none: x = 0).
-
-    With g their gcd, x must be a multiple of g, and x/g a sum of the periods
-    divided by g.  Every number from (p_min/g - 1)(p_max/g - 1) on is one
-    (Schur's bound on the Frobenius number); below it, the semigroup's
-    elements listed up to that bound say.
-    """
-    if len(periods) < 2:
-        return x % periods[0] == 0 if periods else x == 0
-    g = math.gcd(*periods)
-    if x % g:
-        return False
-    x //= g
-    schur = (periods[0] // g - 1) * (periods[-1] // g - 1)
-    return x >= schur or x in _small_sums(tuple(p // g for p in periods), schur)
-
-
-def _fewer_than(r: Vector, g: Vector, limit: Optional[int]) -> Iterator[Vector]:
-    """r less j copies of g, for 0 <= j < limit (any j if None), while that
-    stays >= 0."""
-    for _ in range(limit) if limit else count():
-        yield r
-        r = _minus(r, g)
-        if min(r) < 0:
-            return
-
-
-def _cap(r: Vector, bare: tuple[int, ...], caps: Caps) -> Vector:
-    """r with each count that the walk cannot bring below the point where
-    only its residue matters lowered to the least such count of that
-    residue (`_in_monoid`)."""
-    left = sum(r[x] for x in bare)
-    out = list(r)
-    for y, g, least, takes in caps:
-        c = least + max((left * wy // sw for wy, sw in takes), default=0)
-        if out[y] > c:
-            out[y] = c + (out[y] - c) % g
-    return tuple(out)
-
-
 def _in_monoid(d: Vector, gens: frozenset[Vector]) -> bool:
-    """Whether d is a sum of vectors of gens (non-zero, non-negative).
-
-    The generators split into unary ones, non-zero on one letter, and the
-    rest.  A remainder is finished when each of its counts is a sum of that
-    letter's unary generators, or 0 on a letter without one (a bare letter).
-    A count is tested by arithmetic (`_sum_of`): a multiple of the periods'
-    gcd g is a sum of them from Schur's bound S = g(p_min/g - 1)(p_max/g - 1)
-    on, and below it a table of the sums under that bound says; no table
-    grows with d.  The search takes the non-unary generators off d, one
-    after the other in stages (`_split`), each as many times as it may, and
-    stops at the first finished remainder: a finished d answers at once.
-    A state is a remainder and the index of its next stage, and every state
-    found counts towards the closure_member_states guard.
-
-    A non-unary v whose letters all have a unary generator is used fewer
-    than ord_v = lcm_a m_a / gcd(m_a, v_a) times, over its letters a, with
-    m_a the unary generator of a that makes m_a / gcd(m_a, v_a) least.
-    Proof: ord_v is a multiple of m_a / gcd(m_a, v_a), so ord_v · v_a is a
-    multiple of m_a, and ord_v · v is a sum of unary generators.  In a sum
-    equal to d that uses v at least ord_v times, ord_v copies of v can
-    therefore be traded for unary generators, until fewer remain; so d is
-    in the monoid exactly when some sum with fewer than ord_v copies of
-    each such v gives it.  These stages come first, and at most ∏ ord_v
-    remainders leave them.  Each other non-unary generator w has a bare
-    letter, and is taken off as often as the remainder allows.
-
-    A remainder r can also be lowered on a letter y with unary generators.
-    With L the sum of r on the bare letters, the generators with a bare
-    letter are taken off r n_w times with Σ n_w s_w <= L (s_w > 0 the sum
-    of w on them), so they take at most T_y = max_w ⌊L w_y / s_w⌋ off y.
-    Once those stages are reached and r_y >= c = S_y + T_y, every remainder
-    the search reaches from r has a count >= S_y on y, which is a sum
-    exactly when g_y divides it; so r_y can be lowered to
-    c + (r_y - c) mod g_y without changing which remainders can follow or
-    which of them finish (`_cap`).  After that the counts on y stay below
-    S_y + T_y + g_y, and the remainders depend only on the bare counts.
-    """
+    """Whether d is a sum of vectors of gens (non-zero, non-negative): the
+    search of `closure_terms` over the non-unary generators from 0, bounded
+    by d, until an offset x leaves d - x a sum of unary generators on every
+    letter (proof in `closure_terms`).  Every offset that joins counts
+    towards the closure_member_states guard."""
     if not any(d) or d in gens:
         return True
-    if min(d) < 0:
+    if min(d) < 0 or not gens:
         return False
-    units, stages, first_walked, bare, caps = _split(gens, len(d))
-    if not stages:
-        return all(map(_sum_of, d, units))
+    units, mixed = _unary_periods(gens, len(d))
+    mods = tuple(u[0] if u else x + 1 for u, x in zip(units, d))
+    least = [_least_sums(u) if u else {0: 0} for u in units]
 
-    def steps(state: tuple[Vector, int]) -> Iterator[tuple[Vector, int]]:
-        r, i = state
-        if i < len(stages):
-            for n in _fewer_than(r, *stages[i]):
-                yield (_cap(n, bare, caps) if i + 1 >= first_walked else n), i + 1
+    def done(x: Vector) -> bool:
+        rest = map(operator.sub, d, x)
+        return all(sums.get(r % m, r + 1) <= r for sums, r, m in zip(least, rest, mods))
 
-    start = (_cap(d, bare, caps) if first_walked == 0 else d), 0
-    return any(all(map(_sum_of, r, units)) for r, _ in _walk([start], steps))
+    guard = ("closure membership", "closure_member_states", CLOSURE_MEMBER_STATE_GUARD)
+    return _minimal_offsets((0,) * len(d), mods, mixed, guard, bound=d, goal=done) is None
 
 
 def _term_linear(t: DiagonalPeriodic) -> Linear:
@@ -361,8 +230,10 @@ def fold_linear_sets(u: DplUnion) -> list[Linear]:
             if not any(_contains(k, s) for k in kept):
                 kept = [k for k in kept if not _contains(s, k)] + [s]
         sets = kept
-    # the recognizable sets first: a membership test searches them within
-    # bounds that do not grow with the vector (`_in_monoid`)
+    # the recognizable sets first: a membership test searches at most the
+    # residue classes that their non-unary periods reach, whatever the
+    # vector, and gives a letter without a unary period a class per count
+    # (`_in_monoid`)
     return sorted(sets, key=lambda s: not _recognizable(s))
 
 
@@ -387,13 +258,13 @@ def closure_terms(
     ones are kept: a larger one gives a term that the smaller one's term
     contains.  So no term is contained in another.
 
-    The minimal offsets are found by a search over the residue classes,
-    each holding the antichain of the least offsets found in it so far.
-    From the base, it takes offsets up in order of their coordinate sum,
-    skipping one dropped since it joined its class, and adds each step to
-    each; a sum joins its class (`_add_minimal`) unless an offset there lies
-    at or below it, and drops those above it.  The antichains end as exactly
-    the minimal offsets:
+    The minimal offsets are found by a search over the residue classes
+    (`_minimal_offsets`), each holding the antichain of the least offsets
+    found in it so far.  From the base, it takes offsets up in order of
+    their coordinate sum, skipping one dropped since it joined its class,
+    and adds each step to each; a sum joins its class (`_add_minimal`)
+    unless an offset there lies at or below it, and drops those above it.
+    The antichains end as exactly the minimal offsets:
     - The base lies below every offset, so it is minimal.
     - A minimal offset y other than the base is x + v for a step v and an
       offset x of smaller sum, and x is minimal: an offset x' <= x in x's
@@ -407,46 +278,108 @@ def closure_terms(
     An offset joins at most once, and each one that joins counts towards
     REPRESENTATION_OFFSET_GUARD; as each is taken up at most once, the guard
     bounds the work too.
+
+    A membership test (`_in_monoid`) of d in ⟨P⟩ runs the same search over
+    the non-unary periods from 0, bounded by d: only offsets at or below d
+    join.  The steps are non-negative, so an offset at or below d is reached
+    only through offsets at or below d, and the proof above holds for those
+    offsets alone.  A letter without a unary period gets the modulus
+    d_b + 1, so below d its residue is its count, and a non-unary period
+    that is no step is a sum of the m_a·e_a or exceeds d.  d is a sum of
+    periods exactly when d = x + u for a sum x of non-unary periods and a
+    sum u of unary ones: on each letter a, d_a - x_a is a sum of a's unary
+    periods, that is, at least the least such sum in its residue class
+    modulo m_a (`_least_sums`, the same search on one letter), and 0 on a
+    letter without one.  An offset x' >= x in x's class differs from x by
+    multiples of the m_a, and not at all on a letter without a unary
+    period, so if x' serves, x serves too: the minimal offsets decide.  The
+    classes searched are those that the non-unary periods reach, whatever
+    the unary periods of letters that none of them uses.
     """
-    periods = {p for p in periods if any(p)}
-    unary: dict[int, int] = {}
-    for p in periods:
-        (i, x), *more = [(i, x) for i, x in enumerate(p) if x]
-        if not more:
-            unary[i] = min(unary.get(i, x), x)
+    periods = frozenset(p for p in periods if any(p))
+    unary = [u[0] if u else 0 for u in _unary_periods(periods, len(alphabet))[0]]
     # modulus one leaves a letter without a unary period at its base count
-    mods = tuple(unary.get(i, 1) for i in range(len(alphabet)))
-    # sorted, so that the order of the terms depends on the steps alone
-    steps = sorted(v for v in periods if any(map(operator.mod, v, mods)))
-
-    def residue(x: Vector) -> Vector:
-        return tuple(map(operator.mod, x, mods))
-
-    base = tuple(base)
-    classes = {residue(base): [base]}
-    todo, joined = [(sum(base), base)], 1
-    while todo:
-        _, x = heapq.heappop(todo)
-        if x not in classes[residue(x)]:
-            continue
-        for v in steps:
-            y = tuple(map(operator.add, x, v))
-            if _add_minimal(classes.setdefault(residue(y), []), y):
-                joined += 1
-                if joined > REPRESENTATION_OFFSET_GUARD:
-                    raise SizeGuardError.over(
-                        "representation", "representation_offsets",
-                        REPRESENTATION_OFFSET_GUARD, joined,
-                    )
-                heapq.heappush(todo, (sum(y), y))
-    periodic = [i in unary for i in range(len(mods))]
+    mods = tuple(m or 1 for m in unary)
+    guard = ("representation", "representation_offsets", REPRESENTATION_OFFSET_GUARD)
+    classes = _minimal_offsets(tuple(base), mods, periods, guard)
     return tuple(
         DiagonalPeriodic(
-            alphabet, tuple(Progression(y, m) if f else y for f, y, m in zip(periodic, o, mods))
+            alphabet, tuple(Progression(y, m) if u else y for u, y, m in zip(unary, o, mods))
         )
         for offsets in classes.values()
         for o in offsets
     )
+
+
+@lru_cache(maxsize=1024)
+def _unary_periods(
+    periods: frozenset[Vector], n: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[Vector, ...]]:
+    """The sorted unary periods of each of n letters, and the other periods;
+    the periods are non-zero."""
+    units: list[set[int]] = [set() for _ in range(n)]
+    mixed = []
+    for p in periods:
+        (i, x), *more = [(i, x) for i, x in enumerate(p) if x]
+        if more:
+            mixed.append(p)
+        else:
+            units[i].add(x)
+    return tuple(tuple(sorted(u)) for u in units), tuple(mixed)
+
+
+@lru_cache(maxsize=1024)
+def _least_sums(periods: tuple[int, ...]) -> dict[int, int]:
+    """The least sum of the sorted periods in each residue class modulo the
+    smallest, for the classes that hold one (their Apéry set): the search of
+    `closure_terms` on one letter."""
+    guard = ("closure membership", "closure_member_states", CLOSURE_MEMBER_STATE_GUARD)
+    classes = _minimal_offsets((0,), periods[:1], [(p,) for p in periods], guard)
+    return {r: x for (r,), [(x,)] in classes.items()}
+
+
+def _residue(x: Vector, mods: Vector) -> Vector:
+    return tuple(map(operator.mod, x, mods))
+
+
+def _minimal_offsets(
+    base: Vector,
+    mods: Vector,
+    periods: Iterable[Vector],
+    guard: tuple[str, str, int],
+    bound: Optional[Vector] = None,
+    goal: Optional[Callable[[Vector], bool]] = None,
+) -> Optional[dict[Vector, list[Vector]]]:
+    """The componentwise-minimal offsets of each residue class mod `mods`
+    that base plus sums of periods reach, at or below `bound` if given, by
+    the search that `closure_terms` proves; None as soon as an offset that
+    meets `goal`, if given, joins.  guard is the label, name and limit of
+    the guard that the offsets joining a class count towards."""
+    if goal and goal(base):
+        return None
+    # sorted, so that the order of the classes depends on the steps alone
+    steps = sorted(v for v in periods if any(map(operator.mod, v, mods)))
+    classes = {_residue(base, mods): [base]}
+    label, name, limit = guard
+    # each offset joins once, so no two entries tie on (sum, offset)
+    todo, joined = [(sum(base), base, classes[_residue(base, mods)])], 1
+    while todo:
+        _, x, held = heapq.heappop(todo)
+        if x not in held:
+            continue
+        for v in steps:
+            y = tuple(map(operator.add, x, v))
+            if bound is not None and not all(map(operator.le, y, bound)):
+                continue
+            antichain = classes.setdefault(_residue(y, mods), [])
+            if _add_minimal(antichain, y):
+                if goal and goal(y):
+                    return None
+                joined += 1
+                if joined > limit:
+                    raise SizeGuardError.over(label, name, limit, joined)
+                heapq.heappush(todo, (sum(y), y, antichain))
+    return classes
 
 
 def _add_minimal(antichain: list[Vector], x: Vector) -> bool:

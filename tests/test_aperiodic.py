@@ -141,8 +141,8 @@ def test_union_closure_member_matches_oracle():
 
 
 def test_union_closure_member_state_guard(monkeypatch):
-    # a^n b^(2n+1) c^n is not in the closure of {ab, bc}: the search visits
-    # about n² states before it can say so
+    # a^n b^(2n+1) c^n is not in the closure of {ab, bc}: no letter has a
+    # unary period, so the search keeps about n² offsets before it can say so
     monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 50)
     u = DplUnion.of(ABC, [term(ABC, "ab"), term(ABC, "bc")])
     closure = Closure(u)
@@ -189,20 +189,22 @@ def test_serialization_round_trip():
         assert union_member(v, back) == union_member(v, u)
 
 
-def monoid_reference(d, gens):
-    """{0} closed under adding generators inside the box [0, d]."""
-    if min(d) < 0:
-        return False
-    box = {(0,) * len(d)}
+def monoid_box(top, gens):
+    """{0} closed under adding generators inside the box [0, top]."""
+    box = {(0,) * len(top)}
     todo = list(box)
     while todo:
         r = todo.pop()
         for g in gens:
             n = tuple(x + y for x, y in zip(r, g))
-            if all(x <= y for x, y in zip(n, d)) and n not in box:
+            if all(x <= y for x, y in zip(n, top)) and n not in box:
                 box.add(n)
                 todo.append(n)
-    return tuple(d) in box
+    return box
+
+
+def monoid_reference(d, gens):
+    return min(d) >= 0 and tuple(d) in monoid_box(d, gens)
 
 
 def random_generators(rng, n):
@@ -230,28 +232,32 @@ def test_in_monoid_agrees_with_the_box_closure():
             assert aperiodic._in_monoid(d, gens) == monoid_reference(d, gens), (d, sorted(gens))
             checked += 1
     assert checked > 2000
+    # larger counts, with a letter that has no unary period and a generator
+    # that uses it: one box up to the largest counts answers every d below
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        bare = rng.randrange(n)
+        gens = {g for g in random_generators(rng, n) if g[bare] == 0 or g[bare] != sum(g)}
+        gens.add(tuple(rng.randint(1, 3) if i == bare else rng.randint(0, 2) for i in range(n)))
+        top = tuple(rng.randint(25, 40) for _ in range(n))
+        box = monoid_box(top, gens)
+        for d in [top, *(tuple(rng.randint(0, x) for x in top) for _ in range(20))]:
+            assert aperiodic._in_monoid(d, frozenset(gens)) == (d in box), (d, sorted(gens))
 
 
 def test_in_monoid_tests_a_long_unary_count_without_a_long_table(monkeypatch):
-    limits = []
-    small_sums = aperiodic._small_sums
-
-    def spy(periods, limit):
-        limits.append(limit)
-        return small_sums(periods, limit)
-
-    monkeypatch.setattr(aperiodic, "_small_sums", spy)
+    # two offsets answer, however long the count on a: the least sums of 4
+    # and 6 modulo 4, 0 and 6, found by the search on a alone
+    monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 2)
     gens = frozenset({(4, 0), (6, 0), (0, 1)})
     assert aperiodic._in_monoid((10**6, 3), gens)
     assert not aperiodic._in_monoid((10**6 + 1, 3), gens)
     assert not aperiodic._in_monoid((10**6, 3), frozenset({(4, 0), (6, 0)}))
-    # {4, 6} / 2 = {2, 3}: every count from (2 - 1)(3 - 1) on is a sum
-    assert max(limits, default=0) <= 2
 
 
 def test_in_monoid_uses_a_mixed_generator_fewer_times_than_its_order(monkeypatch):
-    # 2·ab = aa + bb and 2·bc = bb + cc: each of ab and bc is taken off at
-    # most once, so four remainders answer for any counts
+    # modulo aa, bb and cc the least offsets are 0, ab, bc and ab + bc: four
+    # offsets answer for any counts
     monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 8)
     gens = frozenset({(1, 1, 0), (0, 1, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2)})
     assert not aperiodic._in_monoid((500, 1001, 500), gens)
@@ -262,23 +268,23 @@ def test_in_monoid_uses_a_mixed_generator_fewer_times_than_its_order(monkeypatch
 
 
 def test_in_monoid_walks_mixed_periods_of_a_large_order_lazily(monkeypatch):
-    # ab and abb have order 97·89 = 8633 against a^97 and b^89: built stage
-    # by stage, their remainders for a^2000 b^2001 would number about 10^6,
-    # while the search stops at the first finished one and holds a few
-    # thousand
+    # modulo a^97 and b^89 there are 8633 residue classes: the sums of ab and
+    # abb below a^2000 b^2001 number about 10^6, while the search keeps the
+    # least offsets of each class and stops once d's class holds one, after
+    # about 8200
     monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 10_000)
     gens = frozenset({(97, 0), (0, 89), (1, 1), (1, 2)})
     assert aperiodic._in_monoid((2000, 2001), gens)
     assert aperiodic._in_monoid((2001, 2000), gens)
-    # a finished d answers before any generator is taken off
+    # a d in the class of 0 answers before any offset joins
     monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 1)
     assert aperiodic._in_monoid((97 * 89, 2 * 89), gens)
 
 
 def test_in_monoid_counts_a_unary_letter_modulo_its_period_past_the_walk(monkeypatch):
-    # b has no unary period, so ab and aaab are walked, 300 times in all;
-    # past 3·300 the count on a only matters modulo 2, and the walk holds
-    # about 600 remainders where the exact counts would give about 45,000
+    # b has no unary period, so each count on b up to 300 is a class, and a
+    # only matters modulo 2: the search keeps about 300 offsets, k·ab, where
+    # the sums of ab and aaab below b^300 number about 45,000
     monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 1000)
     gens = frozenset({(2, 0), (1, 1), (3, 1)})
     assert not aperiodic._in_monoid((10**6 + 1, 300), gens)
@@ -286,11 +292,37 @@ def test_in_monoid_counts_a_unary_letter_modulo_its_period_past_the_walk(monkeyp
     assert aperiodic._in_monoid((10**6 + 1, 301), gens)
 
 
+def test_in_monoid_adds_up_the_classes_of_letters_no_mixed_generator_uses():
+    # 50 classes per letter, not 50^3: with no non-unary generator the search
+    # stays at 0, and each count is tested against its letter's least sums
+    gens = frozenset(
+        tuple(p if j == i else 0 for j in range(3)) for i in range(3) for p in (50, 51)
+    )
+    assert aperiodic._in_monoid((2499, 2499, 2499), gens)
+    assert not aperiodic._in_monoid((2499, 2499, 2449), gens)  # the Frobenius number
+    # bc walks the 2000 counts of b and c, and a stays in the class of 0
+    gens = frozenset({(50, 0, 0), (51, 0, 0), (0, 1, 1)})
+    assert aperiodic._in_monoid((2499, 2000, 2000), gens)
+    assert not aperiodic._in_monoid((2449, 2000, 2000), gens)
+    # ab reaches lcm(300, 400) = 1200 of the 120,000 classes mod (300, 400);
+    # 301 and 401 only lower the least sums of their own letter
+    gens = frozenset({(300, 0), (301, 0), (0, 400), (0, 401), (1, 1)})
+    assert aperiodic._in_monoid((24402, 38651), gens)
+    assert aperiodic._in_monoid((32439, 26879), gens)
+    assert not aperiodic._in_monoid((2999, 5), gens)
+
+
+def test_in_monoid_answers_with_the_offset_that_would_cross_the_guard(monkeypatch):
+    # 0 leaves (3, 1), odd on both letters; ab, the first offset to join,
+    # answers before it counts against the guard
+    monkeypatch.setattr(aperiodic, "CLOSURE_MEMBER_STATE_GUARD", 1)
+    assert aperiodic._in_monoid((3, 1), frozenset({(2, 0), (0, 2), (1, 1)}))
+
 
 def test_membership_tries_the_recognizable_linear_sets_first(monkeypatch):
     # sh*(a^{2+N} b^3 | a^{2+N} b^{2+2N} | a^{1+3N} b) is regular, but its fold
     # keeps linear sets with the period ab and no unary period on b; a word in
-    # a recognizable set answers without walking those
+    # a recognizable set answers without searching those
     u = DplUnion.of(AB, [
         DiagonalPeriodic(AB, (Progression(2, 1), 3)),
         DiagonalPeriodic(AB, (Progression(2, 1), Progression(2, 2))),

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from comshuffle.cli import main
 from comshuffle.dpl import GammaStar, dpl_union_from_dict, dpl_union_member, from_generators
 from comshuffle.errors import SizeGuardError
 from comshuffle.exprlang import parse
-from comshuffle.words import Alphabet, parikh
+from comshuffle.words import Alphabet, ParikhVector, parikh
 
 
 def run(capsys, *argv):
@@ -459,8 +460,8 @@ def test_closure_member_guard_exit_code(capsys, monkeypatch):
 
 
 def test_closure_member_of_a_long_word_with_unary_periods(capsys):
-    # the fold's set with periods aab and a tests b's count by one walk and
-    # a's by its unary period, not by all 2001 · 1001 remainders
+    # the fold's set with periods aab and a has a residue class per count on
+    # b, each with one offset, not all 2001 · 1001 count vectors
     word = "a" * 2000 + "b" * 1000
     code, out, _ = run(capsys, "member", "--alphabet", "ab", word, "sh*(perm(aab) | {a}*)")
     assert code == 0
@@ -658,8 +659,8 @@ LONG_ABC = "a" * 500 + "b" * 1001 + "c" * 500
 
 
 def test_member_of_a_long_word_uses_each_mixed_period_below_its_order(capsys, monkeypatch):
-    # ab and bc are each used at most once, since 2·ab = aa + bb: four
-    # remainders, where all sums of ab and bc give about 250,000
+    # modulo aa, bb and cc the least offsets are 0, ab, bc and ab + bc: four,
+    # where all sums of ab and bc give about 250,000
     _refuse_normal_form(monkeypatch)
     expr = "sh*(perm(ab) | perm(bc) | aa | bb | cc)"
     code, out, _ = run(capsys, "member", "--alphabet", "abc", LONG_ABC, expr)
@@ -681,10 +682,50 @@ KEPT_SETS = (
     [("a" * 19 + "b" * 48 + "c" * 29, "true\n"), ("a" * 499 + "b" * 295 + "c" * 246, "true\n")],
 )
 def test_member_of_a_long_word_reads_only_the_fold(capsys, monkeypatch, word, found):
-    # the counts on a and b that the walk over the c periods cannot bring
-    # below Schur's bound only matter modulo their periods
+    # c has no unary period, so the search has a residue class per count on
+    # c, and the counts on a and b only matter modulo their periods
     _refuse_normal_form(monkeypatch)
     assert run(capsys, "member", "--alphabet", "abc", word, KEPT_SETS)[:2] == (0, found)
+
+
+# a regular closure whose fold keeps linear sets with the period accc but no
+# unary period on a
+BARE_A = (
+    "sh*(perm(accc) <> (F(b,0,3) & {b}*) | perm(aa) <> (F(c,1,3) & {c}*) "
+    "| perm(a) <> (F(c,0,3) & {c}*))"
+)
+
+
+@pytest.mark.parametrize("b, found", [(1996, "false\n"), (1995, "true\n")])
+def test_member_of_a_long_word_over_a_letter_without_a_unary_period(capsys, monkeypatch, b, found):
+    # b occurs only in multiples of 3; the search over the classes of the
+    # counts on a answers within the default guard
+    _refuse_normal_form(monkeypatch)
+    word = "a" * 1704 + "b" * b + "c" * 1742
+    assert run(capsys, "member", "--alphabet", "abc", word, BARE_A)[:2] == (0, found)
+
+
+@pytest.mark.parametrize("c, found", [(2499, "true\n"), (2449, "false\n")])
+def test_member_of_a_long_word_over_letters_with_two_unary_periods(capsys, monkeypatch, c, found):
+    # the fold is 0 + <a^50, a^51, b^50, b^51, c^50, c^51>: each letter is
+    # tested on its own, and 2449 = 50·51 - 50 - 51 is no sum of 50 and 51
+    _refuse_normal_form(monkeypatch)
+    expr = "sh*(" + " | ".join("{%s}" % (x * n) for x in "abc" for n in (50, 51)) + ")"
+    word = "a" * 2499 + "b" * 2499 + "c" * c
+    assert run(capsys, "member", "--alphabet", "abc", word, expr)[:2] == (0, found)
+
+
+def test_membership_in_a_fold_agrees_with_the_normal_form_on_long_words():
+    alphabet = Alphabet.of("abc")
+    closure = cli.eval_expr(parse(BARE_A, alphabet)[0], alphabet)
+    rng = random.Random(28)
+    answers = set()
+    for _ in range(8):
+        counts = tuple(rng.randint(1500, 2000) for _ in range(3))
+        found = aperiodic.union_closure_member(counts, closure)
+        assert found == dpl_union_member(ParikhVector(alphabet, counts), closure.normal_form)
+        answers.add(found)
+    assert answers == {True, False}
 
 
 def test_projection_of_a_closure_is_the_closure_of_the_projected_union(capsys):
