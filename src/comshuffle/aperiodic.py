@@ -526,8 +526,9 @@ def union_iterated_shuffle(closure: Closure) -> DplUnion:
     result lies in another.
     """
     alphabet = closure.alphabet
-    converted = [s for s in closure.linear_sets if _recognizable(s)]
-    rest = [s for s in closure.linear_sets if not _recognizable(s)]
+    sets = closure.linear_sets  # the recognizable ones first
+    split = next((i for i, s in enumerate(sets) if not _recognizable(s)), len(sets))
+    converted, rest = sets[:split], sets[split:]
     if rest:
         _certify_non_regular(closure.union)
     regular = DplUnion.of(alphabet, [t for s in converted for t in closure_terms(alphabet, *s)])

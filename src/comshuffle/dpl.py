@@ -66,11 +66,17 @@ def count_set_subset(s1: CountSet, s2: CountSet) -> bool:
     return in_count_set(s1, s2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalPeriodic:
     """Shuffle over the letters a of the alphabet of a^{k_a}(a^{p_a})* or of
     a^{c_a}: `sets` holds, in alphabet order, the progression (k_a, p_a) or
-    the exact count c_a of each letter."""
+    the exact count c_a of each letter.
+
+    Two terms are equal when their alphabets have the same letters in the
+    same order and their `sets` are equal, so equal terms denote the same
+    language; the hash is that of `sets` alone.  A count set is a
+    `Progression` or an `int`: a plain (k, p) pair equals the progression
+    (k, p) but is refused."""
 
     alphabet: Alphabet
     sets: tuple[CountSet, ...]
@@ -79,8 +85,16 @@ class DiagonalPeriodic:
         if len(self.sets) != len(self.alphabet):
             raise ValueError("a term needs one count set per letter of its alphabet")
         for s in self.sets:
-            if not isinstance(s, Progression) and (type(s) is not int or s < 0):
+            if type(s) is not Progression and (type(s) is not int or s < 0):
                 raise ValueError(f"count set {s!r} is neither a progression nor a count >= 0")
+
+    def __eq__(self, other):
+        if other.__class__ is not DiagonalPeriodic:
+            return NotImplemented
+        return self.sets == other.sets and self.alphabet.letters == other.alphabet.letters
+
+    def __hash__(self):
+        return hash(self.sets)
 
     @classmethod
     def make(
@@ -161,7 +175,8 @@ class DplUnion:
     terms: tuple[DiagonalPeriodic, ...]
 
     def __post_init__(self):
-        if any(t.alphabet != self.alphabet for t in self.terms):
+        letters = self.alphabet.letters
+        if any(t.alphabet.letters != letters for t in self.terms):
             raise ValueError("all terms must share the union's alphabet")
         if len(set(self.terms)) != len(self.terms):
             raise ValueError("terms must be deduplicated")
@@ -199,8 +214,9 @@ def _size_key(t: DiagonalPeriodic) -> tuple[int, int, int]:
     least, exact, periods = 0, 0, 1
     for s in t.sets:
         if isinstance(s, Progression):
-            least += s.offset
-            periods *= s.period
+            k, p = s
+            least += k
+            periods *= p
         else:
             least += s
             exact += 1
@@ -214,9 +230,9 @@ def _residues(sets: Sequence[CountSet], periods: tuple[Optional[int], ...]) -> O
     key = []
     for s, p in zip(sets, periods):
         if isinstance(s, Progression):
-            if p is None or s.period % p:
+            s, period = s
+            if p is None or period % p:
                 return None
-            s = s.offset
         key.append(s if p is None else s % p)
     return tuple(key)
 

@@ -25,7 +25,7 @@ read, and an unknown one is reported at its position.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union as TUnion
+from typing import NamedTuple, Optional, Union as TUnion
 
 from .dpl import Fcount, Fmod, GammaPlus, GammaStar
 from .errors import ParseError
@@ -87,8 +87,7 @@ _KEYWORDS = {"perm", "sh", "project", "invproject", "alphabet", "F"}
 _PUNCT = {"(", ")", "{", "}", ",", ";", "|", "&", "*", "+"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT, INT, SHUFFLE, or a punctuation character
     value: str
     pos: int

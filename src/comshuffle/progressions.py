@@ -9,30 +9,55 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 
-@dataclass(frozen=True)
-class Progression:
-    offset: int
-    period: int
+class Progression(tuple):
+    """The count set {offset + period·n : n >= 0}, with offset >= 0 and
+    period >= 1.
 
-    def __post_init__(self):
-        if self.offset < 0:
+    A progression is the pair (offset, period), not a general tuple: it
+    hashes and compares as that pair, in C, so two progressions are equal
+    exactly when they denote the same set, and they order by offset, then
+    period.  `n in p` is count membership, not a test on the pair's items,
+    and tuple concatenation and repetition are refused.  Hot code unpacks
+    the pair (`k, p = prog`), which is cheaper than reading the `offset`
+    and `period` properties.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, offset: int, period: int) -> "Progression":
+        if offset < 0:
             raise ValueError("offset must be non-negative")
-        if self.period < 1:
+        if period < 1:
             raise ValueError("period must be positive")
+        return tuple.__new__(cls, (offset, period))
+
+    offset = property(itemgetter(0), doc="The least count.")
+    period = property(itemgetter(1), doc="The step between counts.")
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Progression(offset={self[0]!r}, period={self[1]!r})"
+
+    def _refuse(self, other):
+        raise TypeError(f"unsupported operand for a progression: {type(other).__name__!r}")
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse
 
     def __contains__(self, n: int) -> bool:
-        return n >= self.offset and (n - self.offset) % self.period == 0
+        k, p = self
+        return n >= k and (n - k) % p == 0
 
     def contains_progression(self, other: "Progression") -> bool:
         # other ⊆ self iff other.offset ∈ self and self.period | other.period
-        return (
-            other.offset >= self.offset
-            and other.period % self.period == 0
-            and (other.offset - self.offset) % self.period == 0
-        )
+        k, p = self
+        k2, p2 = other
+        return k2 >= k and p2 % p == 0 and (k2 - k) % p == 0
 
 
 @dataclass(frozen=True)
@@ -81,11 +106,12 @@ def prog_intersect(p1: Progression, p2: Progression) -> Optional[Progression]:
     `_merge` of the two congruences gives them as r + m·N, and the least one
     from the larger offset on starts the result.
     """
-    solved = _merge(p1.offset, p1.period, p2.offset, p2.period)
+    (k1, m1), (k2, m2) = p1, p2
+    solved = _merge(k1, m1, k2, m2)
     if solved is None:
         return None
     r, m = solved
-    base = max(p1.offset, p2.offset)
+    base = max(k1, k2)
     return Progression(base + (r - base) % m, m)
 
 
@@ -101,7 +127,7 @@ def semigroup_elements(gens: Sequence[int], limit: int) -> list[int]:
 
 def normalize_progressions(progs: Sequence[Progression]) -> tuple[Progression, ...]:
     """Drop progressions contained in another one; sorted, deduplicated."""
-    unique = sorted(set(progs), key=lambda p: (p.offset, p.period))
+    unique = sorted(set(progs))  # by offset, then period
     # distinct progressions denote distinct sets, so containment is antisymmetric here
     return tuple(p for p in unique if not any(q != p and q.contains_progression(p) for q in unique))
 
@@ -115,10 +141,11 @@ def prog_product(p1: Progression, p2: Progression) -> tuple[Progression, ...]:
     The Sylvester closed form for c is cross-checked against DP enumeration in
     the tests rather than trusted.
     """
-    k = p1.offset + p2.offset
-    g = math.gcd(p1.period, p2.period)
-    a, b = p1.period // g, p2.period // g
+    (k1, m1), (k2, m2) = p1, p2
+    k = k1 + k2
+    g = math.gcd(m1, m2)
+    a, b = m1 // g, m2 // g
     conductor = 0 if a == 1 or b == 1 else (a - 1) * (b - 1)
-    result = [Progression(k + e * g, p1.period) for e in semigroup_elements((a, b), conductor)]
+    result = [Progression(k + e * g, m1) for e in semigroup_elements((a, b), conductor)]
     result.append(Progression(k + conductor * g, g))
     return normalize_progressions(result)

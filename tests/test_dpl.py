@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -203,11 +205,52 @@ def test_make_rejects_a_progression_with_an_exact_count():
         (Progression(0, 1), 1.0),
         (Progression(0, 1), True),
         (Progression(0, 1), None),
+        # equal to Progression(1, 2), but not one
+        (Progression(0, 1), (1, 2)),
     ],
 )
 def test_term_rejects_malformed_count_sets(sets):
     with pytest.raises(ValueError):
         DiagonalPeriodic(AB, sets)
+
+
+def test_term_repr_is_its_fields():
+    t = DiagonalPeriodic(AB, (Progression(1, 2), 3))
+    assert repr(t) == (
+        "DiagonalPeriodic(alphabet=Alphabet(letters=('a', 'b')),"
+        " sets=(Progression(offset=1, period=2), 3))"
+    )
+
+
+@pytest.mark.parametrize("copier", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy])
+def test_term_round_trips_through_pickle_and_deepcopy(copier):
+    t = DiagonalPeriodic(AB, (Progression(1, 2), 3))
+    t.progs  # a cached view travels with the term
+    got = copier(t)
+    assert got == t and hash(got) == hash(t)
+    assert type(got.sets[0]) is Progression
+    assert got.progs == (("a", Progression(1, 2)),) and got.exact == (("b", 3),)
+
+
+def test_terms_over_reordered_alphabets_are_unequal():
+    sets = (Progression(1, 2), 0)
+    t, s = DiagonalPeriodic(AB, sets), DiagonalPeriodic(Alphabet.of("ba"), sets)
+    assert t != s and not t == s
+    assert len({t, s}) == 2
+    with pytest.raises(ValueError):
+        DplUnion(AB, (s,))
+
+
+def test_equal_terms_over_distinct_alphabet_objects_are_one_term():
+    ab1, ab2 = Alphabet.of("ab"), Alphabet.of("ab")
+    assert ab1 is not ab2
+    t = DiagonalPeriodic(ab1, (Progression(1, 2), 0))
+    s = DiagonalPeriodic(ab2, (Progression(1, 2), 0))
+    assert t == s and hash(t) == hash(s)
+    assert DplUnion.of(ab1, [t, s]).terms == (t,)
+    assert DplUnion(ab1, (s,)) == DplUnion(ab2, (t,))
+    with pytest.raises(ValueError):
+        DplUnion(ab1, (t, s))
 
 
 def test_json_loader_rejects_letters_outside_the_alphabet():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from itertools import product
 
 import pytest
@@ -27,6 +29,7 @@ def test_progression_membership():
     p = Progression(3, 4)
     assert 3 in p
     assert 7 in p
+    # 4 is an item of the pair (the period), but not a count of the set
     assert 4 not in p
     assert 2 not in p
 
@@ -99,3 +102,37 @@ def test_prog_product_coprime_periods_has_conductor():
     sums = {2 * i + 3 * j for i in range(30) for j in range(20) if 2 * i + 3 * j < 60}
     assert covered == sums
     assert math.gcd(2, 3) == 1 and all(n in covered for n in range(2, 60) if n != 1)
+
+
+def test_progression_is_a_value_pair():
+    p = Progression(3, 4)
+    assert (p.offset, p.period) == (3, 4)
+    assert p == Progression(3, 4) and hash(p) == hash(Progression(3, 4))
+    assert p != Progression(3, 2)
+    # by offset, then period: `normalize_progressions` sorts by this order
+    assert sorted([Progression(1, 3), Progression(0, 5), Progression(1, 2)]) == [
+        Progression(0, 5), Progression(1, 2), Progression(1, 3)
+    ]
+    with pytest.raises(AttributeError):
+        p.offset = 4
+    with pytest.raises(AttributeError):
+        p.label = "x"
+
+
+def test_progression_repr_names_its_fields():
+    assert repr(Progression(1, 2)) == "Progression(offset=1, period=2)"
+    assert repr(Progression(offset=0, period=7)) == "Progression(offset=0, period=7)"
+
+
+@pytest.mark.parametrize("copier", [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy])
+def test_progression_round_trips_through_pickle_and_copy(copier):
+    p = copier(Progression(3, 4))
+    assert type(p) is Progression
+    assert p == Progression(3, 4) and p.offset == 3 and p.period == 4
+
+
+def test_progression_refuses_tuple_arithmetic():
+    p, q = Progression(1, 2), Progression(0, 3)
+    for op in (lambda: p + q, lambda: p * 2, lambda: 2 * p, lambda: p + (1,), lambda: (1,) + p):
+        with pytest.raises(TypeError):
+            op()
