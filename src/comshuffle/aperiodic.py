@@ -189,8 +189,8 @@ def _in_monoid(d: Vector, gens: frozenset[Vector]) -> bool:
 def _term_linear(t: DiagonalPeriodic) -> Linear:
     """A term as b + ⟨p_a·e_a⟩: offsets and exact counts make the base, and
     each progression gives a unary period."""
-    base = tuple(s.offset if isinstance(s, Progression) else s for s in t.sets)
-    units = [(i, s.period) for i, s in enumerate(t.sets) if isinstance(s, Progression)]
+    base = tuple(s[0] if isinstance(s, Progression) else s for s in t.sets)
+    units = [(i, s[1]) for i, s in enumerate(t.sets) if isinstance(s, Progression)]
     return base, frozenset(tuple(p if j == i else 0 for j in range(len(base))) for i, p in units)
 
 
@@ -239,8 +239,8 @@ def fold_linear_sets(u: DplUnion) -> list[Linear]:
 
 def _recognizable(s: Linear) -> bool:
     """Every letter of a non-unary period also has a unary period."""
-    unary = {i for p in s[1] if _is_unary(p) for i, x in enumerate(p) if x}
-    return all(i in unary for p in s[1] for i, x in enumerate(p) if x)
+    units, mixed = _unary_periods(s[1], len(s[0]))
+    return all(units[i] for p in mixed for i, x in enumerate(p) if x)
 
 
 def closure_terms(

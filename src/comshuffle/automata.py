@@ -424,11 +424,12 @@ def _coordinates(s: CountSet, line: tuple[int, int]) -> Iterable[int]:
     one for an exact count k, the orbit of collapse(k) under +p for k + pN."""
     if not isinstance(s, Progression):
         return (collapse(s, line),)
+    k, p = s
     orbit: dict[int, None] = {}
-    n = collapse(s.offset, line)
+    n = collapse(k, line)
     while n not in orbit:
         orbit[n] = None
-        n = collapse(n + s.period, line)
+        n = collapse(n + p, line)
     return orbit
 
 

@@ -42,8 +42,8 @@ def grid(u: DplUnion) -> list[tuple[int, int]]:
     lcm of its periods.  Counts from T_a on that agree modulo P_a lie in the
     same count sets of every term, so a count vector collapses (`collapse`)."""
     return [
-        (max(c.offset if isinstance(c, Progression) else c + 1 for c in sets),
-         math.lcm(*(c.period for c in sets if isinstance(c, Progression))))
+        (max(c[0] if isinstance(c, Progression) else c + 1 for c in sets),
+         math.lcm(*(c[1] for c in sets if isinstance(c, Progression))))
         for sets in zip(*(t.sets for t in u.terms))
     ]
 
@@ -268,7 +268,7 @@ def maximal_terms(u: DplUnion) -> DplUnion:
             if near and any(term_subset(t, k) for k in near):
                 break
         else:
-            periods = tuple([s.period if isinstance(s, Progression) else None for s in t.sets])
+            periods = tuple([s[1] if isinstance(s, Progression) else None for s in t.sets])
             kept.setdefault(periods, {}).setdefault(_residues(t.sets, periods), []).append(t)
             n += 1
     if n == len(u.terms):
@@ -318,7 +318,7 @@ def dpl_intersect(u1: DplUnion, u2: DplUnion) -> DplUnion:
 
 
 def _add_count(s: CountSet, n: int) -> CountSet:
-    return Progression(s.offset + n, s.period) if isinstance(s, Progression) else s + n
+    return Progression(s[0] + n, s[1]) if isinstance(s, Progression) else s + n
 
 
 def _sums(s1: CountSet, s2: CountSet) -> Sequence[CountSet]:
@@ -546,7 +546,7 @@ def _term_to_dict(t: DiagonalPeriodic) -> dict:
     progs = t.progs
     data = {
         "support": sorted(a for a, _ in progs),
-        "progs": {a: {"k": p.offset, "p": p.period} for a, p in progs},
+        "progs": {a: {"k": k, "p": p} for a, (k, p) in progs},
     }
     exact = t.exact
     if exact:

@@ -1,8 +1,9 @@
 """Arithmetic-progression algebra over a single letter.
 
 A progression (k, p) denotes the set {k, k+p, k+2p, ...}.  Intersections go
-through the generalized Chinese Remainder Theorem, products (unary
-concatenation / shuffle) through the two-generator numerical semigroup.
+through the generalized Chinese Remainder Theorem; products (unary
+concatenation / shuffle) are read off in closed form from the Apéry set of
+the two-generator numerical semigroup that the periods span.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ class Progression(tuple):
     exactly when they denote the same set, and they order by offset, then
     period.  `n in p` is count membership, not a test on the pair's items,
     and tuple concatenation and repetition are refused.  Hot code unpacks
-    the pair (`k, p = prog`), which is cheaper than reading the `offset`
-    and `period` properties.
+    the pair (`k, p = prog`) or indexes it (`prog[0]`), either of which is
+    cheaper than reading the `offset` and `period` properties.
     """
 
     __slots__ = ()
@@ -115,37 +116,43 @@ def prog_intersect(p1: Progression, p2: Progression) -> Optional[Progression]:
     return Progression(base + (r - base) % m, m)
 
 
-def semigroup_elements(gens: Sequence[int], limit: int) -> list[int]:
-    """Elements of the numerical semigroup generated by `gens` below `limit`."""
-    reachable = [False] * max(limit, 1)
-    if limit > 0:
-        reachable[0] = True
-        for n in range(1, limit):
-            reachable[n] = any(n >= g and reachable[n - g] for g in gens)
-    return [n for n in range(limit) if reachable[n]]
-
-
 def normalize_progressions(progs: Sequence[Progression]) -> tuple[Progression, ...]:
-    """Drop progressions contained in another one; sorted, deduplicated."""
+    """Drop progressions contained in another one; sorted, deduplicated.
+
+    Nothing in the package calls it: `prog_product` builds its antichain
+    directly.  The tests use it as part of a reference product.
+    """
     unique = sorted(set(progs))  # by offset, then period
     # distinct progressions denote distinct sets, so containment is antisymmetric here
     return tuple(p for p in unique if not any(q != p and q.contains_progression(p) for q in unique))
 
 
 def prog_product(p1: Progression, p2: Progression) -> tuple[Progression, ...]:
-    """Decompose the sumset {k1+k2 + x*p1 + y*p2 : x, y >= 0} into progressions.
+    """Decompose the sumset {k1+k2 + x*m1 + y*m2 : x, y >= 0} into progressions:
+    no progression of the result contains another, sorted by offset, then
+    period.
 
-    With g = gcd(p1, p2), the attainable shifts are g * <p1/g, p2/g>.  The
-    two-generator semigroup has conductor c = (p1/g - 1)(p2/g - 1); sporadic
-    elements below it keep the finer period p1, the tail collapses to period g.
-    The Sylvester closed form for c is cross-checked against DP enumeration in
-    the tests rather than trusted.
+    With g = gcd(m1, m2), a = m1/g and b = m2/g, the shifts are g·⟨a, b⟩.  If
+    a = 1 or b = 1, that is g·N and the sumset is k + gN, with k = k1 + k2.
+    Otherwise a and b are coprime and greater than one, and:
+    - The Apéry set of ⟨a, b⟩ with respect to a, the least element of each
+      residue class mod a, is {y·b : 0 <= y < a} (Sylvester 1884), so the
+      sumset is the union of k + y·m2 + m1·N over y < a.
+    - The conductor of ⟨a, b⟩ is c = (a-1)(b-1): every n >= c lies in it, so
+      k + c·g + g·N lies in the sumset, and a class with y·b >= c lies in
+      that tail.
+    - The classes with y·b < c are left, in order of y.  Each starts below
+      the tail, so the tail contains none of them, and the tail's period g
+      is less than m1, so none of them contains the tail.  Their residues
+      mod m1 differ, since y·b mod a differs for distinct y < a, so none
+      contains another.  Their offsets k + y·m2 grow with y and stay below
+      the tail's offset k + c·g, so the list is sorted.
     """
     (k1, m1), (k2, m2) = p1, p2
     k = k1 + k2
     g = math.gcd(m1, m2)
     a, b = m1 // g, m2 // g
-    conductor = 0 if a == 1 or b == 1 else (a - 1) * (b - 1)
-    result = [Progression(k + e * g, m1) for e in semigroup_elements((a, b), conductor)]
-    result.append(Progression(k + conductor * g, g))
-    return normalize_progressions(result)
+    if a == 1 or b == 1:
+        return (Progression(k, g),)
+    c = (a - 1) * (b - 1)
+    return (*[Progression(k + y * m2, m1) for y in range(-(-c // b))], Progression(k + c * g, g))

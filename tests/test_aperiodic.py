@@ -228,9 +228,11 @@ def test_in_monoid_agrees_with_the_box_closure():
         n = rng.randint(1, 3)
         gens = random_generators(rng, n)
         cases = [(0,) * n, *gens, *(tuple(rng.randint(-2, 14) for _ in range(n)) for _ in range(6))]
-        for d in cases:
-            assert aperiodic._in_monoid(d, gens) == monoid_reference(d, gens), (d, sorted(gens))
-            checked += 1
+        # the unary generators alone leave the search no step
+        for g in (gens, frozenset(filter(aperiodic._is_unary, gens))):
+            for d in cases:
+                assert aperiodic._in_monoid(d, g) == monoid_reference(d, g), (d, sorted(g))
+                checked += 1
     assert checked > 2000
     # larger counts, with a letter that has no unary period and a generator
     # that uses it: one box up to the largest counts answers every d below
@@ -243,6 +245,23 @@ def test_in_monoid_agrees_with_the_box_closure():
         box = monoid_box(top, gens)
         for d in [top, *(tuple(rng.randint(0, x) for x in top) for _ in range(20))]:
             assert aperiodic._in_monoid(d, frozenset(gens)) == (d in box), (d, sorted(gens))
+
+
+def test_recognizable_agrees_with_the_letter_sets():
+    def by_letter_sets(s):
+        # the letters of the unary periods cover those of all periods
+        unary = {i for p in s[1] if aperiodic._is_unary(p) for i, x in enumerate(p) if x}
+        return all(i in unary for p in s[1] for i, x in enumerate(p) if x)
+
+    rng = random.Random(30)
+    kinds = set()
+    for _ in range(500):
+        base = tuple(rng.randint(0, 3) for _ in "abc")
+        periods = {tuple(rng.choice((0, 0, 1, 2)) for _ in "abc") for _ in range(rng.randint(0, 4))}
+        s = (base, frozenset(p for p in periods if any(p)))
+        kinds.add(aperiodic._recognizable(s))
+        assert aperiodic._recognizable(s) == by_letter_sets(s), s
+    assert kinds == {True, False}
 
 
 def test_in_monoid_tests_a_long_unary_count_without_a_long_table(monkeypatch):

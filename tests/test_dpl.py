@@ -253,6 +253,16 @@ def test_equal_terms_over_distinct_alphabet_objects_are_one_term():
         DplUnion(ab1, (t, s))
 
 
+def test_union_constructor_refuses_a_repeated_term_and_of_dedupes_it():
+    t = DiagonalPeriodic(AB, (Progression(1, 2), 0))
+    with pytest.raises(ValueError, match="deduplicated"):
+        DplUnion(AB, (t, t))
+    u = DplUnion.of(AB, [t, t])
+    assert u.terms == (t,) and u == DplUnion(AB, (t,))
+    with pytest.raises(ValueError, match="alphabet"):
+        DplUnion.of(AB, [DiagonalPeriodic(Alphabet.of("ba"), t.sets)])
+
+
 def test_json_loader_rejects_letters_outside_the_alphabet():
     data = {"alphabet": ["a"], "terms": [{"support": ["z"], "progs": {"z": {"k": 1, "p": 1}}}]}
     with pytest.raises(ValueError):

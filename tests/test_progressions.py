@@ -95,6 +95,48 @@ def test_prog_product_matches_pairwise_sums(k1, p1, k2, p2):
     assert covered == sums
 
 
+def semigroup_elements(gens, limit):
+    """Elements of the numerical semigroup generated by `gens` below `limit`,
+    by dynamic programming."""
+    reachable = [False] * max(limit, 1)
+    if limit > 0:
+        reachable[0] = True
+        for n in range(1, limit):
+            reachable[n] = any(n >= g and reachable[n - g] for g in gens)
+    return [n for n in range(limit) if reachable[n]]
+
+
+def reference_prog_product(p1, p2):
+    """The product by enumeration: every element e of ⟨a, b⟩ below its
+    conductor gives k + e·g + m1·N, the conductor gives the tail k + c·g +
+    g·N, and `normalize_progressions` drops the contained ones."""
+    (k1, m1), (k2, m2) = p1, p2
+    k = k1 + k2
+    g = math.gcd(m1, m2)
+    a, b = m1 // g, m2 // g
+    conductor = 0 if a == 1 or b == 1 else (a - 1) * (b - 1)
+    result = [Progression(k + e * g, m1) for e in semigroup_elements((a, b), conductor)]
+    result.append(Progression(k + conductor * g, g))
+    return normalize_progressions(result)
+
+
+def test_prog_product_equals_the_enumerated_product():
+    # equal tuples: the same progressions in the same order.  The reference
+    # is quadratic in the conductor, so it runs once per pair of periods; at
+    # offsets k1 and k2 the product is the one at 0 and 0 shifted by k1 + k2
+    for m1, m2 in product(range(1, 41), repeat=2):
+        reference = reference_prog_product(Progression(0, m1), Progression(0, m2))
+        for k1, k2 in product((0, 1, 3, 4), (0, 2)):
+            got = prog_product(Progression(k1, m1), Progression(k2, m2))
+            assert got == tuple(Progression(k1 + k2 + k, p) for k, p in reference), (k1, m1, k2, m2)
+            assert all(type(q) is Progression for q in got)
+    # g = 2, a = 3, b = 5, c = 8: the classes y = 0 and 1 (y·5 < 8) start
+    # below the tail 4 + 2·8 + 2N, and y = 2 lies in it
+    assert prog_product(Progression(1, 6), Progression(3, 10)) == (
+        Progression(4, 6), Progression(14, 6), Progression(20, 2)
+    )
+
+
 def test_prog_product_coprime_periods_has_conductor():
     # periods 2 and 3: beyond the conductor every residue appears
     out = prog_product(Progression(0, 2), Progression(0, 3))
