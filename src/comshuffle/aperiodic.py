@@ -433,11 +433,12 @@ def _escapes(r: DplUnion, s: Linear) -> Optional[list[Vector]]:
     the non-unary periods of s, U the unary ones); None if infinitely many.
 
     The DFA of r walked here, built lazily, has as states the points of its
-    count grid (`grid`).  A slice lies in r when its base leads to a good
-    state, one from which unary steps reach only accepting states.  A bad
-    state that a cycle of W-steps reaches is reached by infinitely many λ;
-    with none, the λ that reach bad states pass no cycle, and the walk that
-    stops at the cycles finds them.
+    count grid (`grid`), each in the same count sets as every vector that
+    collapses to it.  A slice lies in r when its base leads to a good state,
+    one from which unary steps reach only accepting states.  A bad state
+    that a cycle of W-steps reaches is reached by infinitely many λ; with
+    none, the λ that reach bad states pass no cycle, and the walk that stops
+    at the cycles finds them.
     """
     limits = grid(r)
     base, periods = s

@@ -47,7 +47,8 @@ class Dfa:
     rows: tuple[Row, ...]
     # letter -> row, a view of `rows` for reading words
     table: dict[str, Row] = field(init=False, compare=False, repr=False)
-    # set by `minimize` on its result, which it then returns unchanged
+    # set on the minimal DFAs that `minimize` and `dpl_to_dfa` return;
+    # `minimize` returns a marked DFA unchanged
     minimal: bool = field(init=False, default=False, compare=False)
 
     def __post_init__(self):
@@ -230,6 +231,20 @@ def dpl_to_dfa(u: DplUnion, guard: int = STATE_GUARD_DEFAULT) -> Dfa:
     none is the one dead state (key None).  A state is final when some live
     term holds each of its counts.  Along a^n the counts below T_a + P_a - 1
     are distinct live states; if they pass the guard, no table is built.
+
+    The DFA of an empty or one-term union is minimal and marked so; unions
+    of more terms are left to `minimize`.  With one term the language is the
+    product of its count sets S_a, and from a live state q the words that
+    lead to a final state are those whose counts v have q_a + v_a in S_a for
+    every letter: a product of nonempty per-letter residuals, since a
+    progression is never passed and an exact count not passed is reachable.
+    Products of nonempty sets are equal only letter by letter, and the grid
+    threshold of one count set is the least one, so each letter's line is
+    the minimal unary automaton of S_a and distinct points of it have
+    distinct residuals.  So distinct live states are inequivalent; every
+    vector past an exact count is the one dead state, whose residual is
+    empty; and every state is reachable.  The states are numbered by the
+    BFS, over the letters in order, that `minimize` numbers its blocks by.
     """
     def refuse():
         raise SizeGuardError(f"automaton guard exceeded: more than {guard} states",
@@ -268,14 +283,18 @@ def dpl_to_dfa(u: DplUnion, guard: int = STATE_GUARD_DEFAULT) -> Dfa:
         k for k, (q, mask) in enumerate(order)
         if q is not None and reduce(and_, (a[n] for a, n in zip(accept, q)), mask)
     ])
-    return Dfa(u.alphabet, len(order), 0, finals, tuple([tuple(row) for row in rows]))
+    d = Dfa(u.alphabet, len(order), 0, finals, tuple([tuple(row) for row in rows]))
+    if len(u.terms) <= 1:
+        object.__setattr__(d, "minimal", True)
+    return d
 
 
 def minimize(d: Dfa) -> Dfa:
     """Minimal complete DFA: complete with a sink, merge Nerode-equivalent
     states by Hopcroft's partition refinement, and renumber the blocks in
     BFS order from the start state, which reaches only reachable blocks.
-    The result is marked `minimal`; a marked input is returned unchanged."""
+    The result is marked `minimal`; a marked input, such as the compiled DFA
+    of a one-term union (`dpl_to_dfa`), is returned unchanged."""
     if d.minimal:
         return d
     c = complete(d)

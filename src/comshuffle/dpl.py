@@ -37,19 +37,27 @@ def in_count_set(n: int, s: CountSet) -> bool:
 
 
 def grid(u: DplUnion) -> list[tuple[int, int]]:
-    """Per letter, the threshold T_a and period P_a of the count grid of u:
-    T_a lies past every offset and exact count of the letter, and P_a is the
-    lcm of its periods.  Counts from T_a on that agree modulo P_a lie in the
-    same count sets of every term, so a count vector collapses (`collapse`)."""
+    """Per letter, the threshold T_a and period P_a of the count grid of u.
+
+    P_a is the lcm of the letter's periods, and T_a the largest, over the
+    terms, of max(k - p + 1, 0) for a progression k + pN and of c + 1 for an
+    exact count c.  Counts from T_a on that agree modulo P_a lie in the same
+    count sets of every term, so a count vector collapses (`collapse`): no
+    count from c + 1 on is c, and for k - p + 1 <= n < k neither n nor
+    n + P_a is k modulo p, while from k on only the residue matters.  For
+    one count set both are the least: if T_a > 0, exactly one of n = T_a - 1
+    (k - p, or c) and n + P_a lies in the set, and p is the least period of
+    k + pN, so the letter's line is the minimal unary automaton of the set."""
     return [
-        (max(c[0] if isinstance(c, Progression) else c + 1 for c in sets),
+        (max(max(c[0] - c[1] + 1, 0) if isinstance(c, Progression) else c + 1 for c in sets),
          math.lcm(*(c[1] for c in sets if isinstance(c, Progression))))
         for sets in zip(*(t.sets for t in u.terms))
     ]
 
 
 def collapse(n: int, line: tuple[int, int]) -> int:
-    """The count n on a letter's line (T_a, P_a) of `grid`: T_a + (n - T_a) mod P_a from T_a on."""
+    """The count n on a letter's line (T_a, P_a) of `grid`: T_a + (n - T_a)
+    mod P_a from T_a on, a count that lies in the same count sets as n."""
     top, period = line
     return n if n < top else top + (n - top) % period
 

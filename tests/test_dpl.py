@@ -27,6 +27,8 @@ from comshuffle.dpl import (
     dpl_union_member,
     dpl_union_to_dict,
     from_generators,
+    grid,
+    in_count_set,
     lemma_closed_form,
 )
 from comshuffle.errors import CriterionError, SizeGuardError
@@ -416,3 +418,33 @@ def test_serialization_is_canonical():
 def test_a_generator_refuses_a_letter_outside_the_alphabet(gen):
     with pytest.raises(ValueError, match=r"letters \['z'\] outside the alphabet"):
         from_generators(gen, Alphabet.of("ab"))
+
+
+def test_grid_threshold_and_period_are_exact_and_least_for_one_term():
+    # from T_a on, every term's count set repeats with period P_a; for one
+    # term, T_a - 1 does not, nor does any proper divisor of P_a
+    rng = random.Random(67)
+    for letters in ("a", "ab", "abc"):
+        alphabet = Alphabet.of(letters)
+        for _ in range(100):
+            terms = {
+                DiagonalPeriodic(alphabet, tuple(
+                    rng.randint(0, 4) if rng.random() < 0.3
+                    else Progression(rng.randint(0, 7), rng.randint(1, 5))
+                    for _ in letters
+                ))
+                for _ in range(rng.randint(1, 3))
+            }
+            u = DplUnion.of(alphabet, terms)
+            for (top, period), sets in zip(grid(u), zip(*(t.sets for t in u.terms))):
+                for s in sets:
+                    assert all(in_count_set(n, s) == in_count_set(n + period, s)
+                               for n in range(top, top + 2 * period)), (s, top, period)
+                if len(sets) == 1:
+                    s = sets[0]
+                    if top:
+                        assert in_count_set(top - 1, s) != in_count_set(top - 1 + period, s)
+                    for q in range(1, period):
+                        if period % q == 0:
+                            assert any(in_count_set(n, s) != in_count_set(n + q, s)
+                                       for n in range(top, top + period))
