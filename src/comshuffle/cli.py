@@ -29,7 +29,7 @@ from collections import Counter
 from contextlib import suppress
 from functools import cache, reduce
 from math import comb
-from typing import Optional
+from typing import Callable, Optional
 
 from .aperiodic import Closure, union_closure_member
 from .automata import (
@@ -78,18 +78,9 @@ from .exprlang import (
     WordLit,
     parse,
 )
-from .oracle import (
-    CLOSURE_MAX_BOUND,
-    VectorSet,
-    all_vectors,
-    closure_under_addition,
-    count_tuples,
-    vector_sums,
-)
+from .oracle import CLOSURE_MAX_BOUND, Counts, count_closure, count_sums, count_tuples
 from .regularity import FiniteLang
-from .words import (
-    Alphabet, ParikhVector, arrangements, parikh, perm_set, project_word, word_order_key
-)
+from .words import Alphabet, arrangements, parikh, perm_set, project_word, word_order_key
 
 DEFAULT_CHECK_BOUND = 8
 WORD_SHUFFLE_MAX_LEN = 12
@@ -261,57 +252,60 @@ def expr_alphabet(e: Expr, session: Alphabet) -> Alphabet:
     return session
 
 
-def oracle_set(e: Expr, alphabet: Alphabet, bound: int) -> frozenset[ParikhVector]:
+def oracle_set(e: Expr, alphabet: Alphabet, bound: int) -> frozenset[Counts]:
     """Brute-force Parikh semantics of an expression, independent of the
-    symbolic evaluator."""
+    symbolic evaluator: the count tuples of sum <= bound over
+    `expr_alphabet(e, alphabet)`."""
     if isinstance(e, (WordLit, Perm)):
-        v = parikh(e.word, alphabet)
-        return frozenset([v] if v.total() <= bound else [])
+        c = parikh(e.word, alphabet).counts
+        return frozenset([c] if sum(c) <= bound else [])
     if isinstance(e, SetLit):
-        return frozenset(
-            v
-            for w in e.words
-            if (v := parikh(w, alphabet)).total() <= bound
-        )
+        return frozenset(c for w in e.words if sum(c := parikh(w, alphabet).counts) <= bound)
     if isinstance(e, Fcount):
-        return frozenset(v for v in all_vectors(alphabet, bound) if v[e.letter] >= e.threshold)
+        i = alphabet.index(e.letter)
+        return frozenset(c for c in count_tuples(len(alphabet), bound) if c[i] >= e.threshold)
     if isinstance(e, Fmod):
+        i = alphabet.index(e.letter)
         return frozenset(
-            v for v in all_vectors(alphabet, bound) if v[e.letter] % e.modulus == e.residue
+            c for c in count_tuples(len(alphabet), bound) if c[i] % e.modulus == e.residue
         )
-    if isinstance(e, GammaStar):
-        return frozenset(v for v in all_vectors(alphabet, bound) if v.support() <= e.letters)
-    if isinstance(e, GammaPlus):
+    if isinstance(e, (GammaStar, GammaPlus)):
+        least = 1 if isinstance(e, GammaPlus) else 0
+        outside = [i for i, a in enumerate(alphabet) if a not in e.letters]
         return frozenset(
-            v
-            for v in all_vectors(alphabet, bound)
-            if v.support() <= e.letters and v.total() >= 1
+            c
+            for c in count_tuples(len(alphabet), bound)
+            if sum(c) >= least and not any(c[i] for i in outside)
         )
     if isinstance(e, UnionE):
         return frozenset().union(*(oracle_set(p, alphabet, bound) for p in e.parts))
     if isinstance(e, IntersectE):
         sets = [oracle_set(p, alphabet, bound) for p in e.parts]
-        return frozenset(reduce(lambda x, y: x & y, sets))
+        return reduce(lambda x, y: x & y, sets)
     if isinstance(e, ShuffleE):
-        target = expr_alphabet(e, alphabet)
-        sets = [VectorSet(target, oracle_set(p, alphabet, bound), bound) for p in e.parts]
-        return reduce(lambda x, y: vector_sums(x, y, bound), sets).vectors
+        sets = [oracle_set(p, alphabet, bound) for p in e.parts]
+        return reduce(lambda x, y: count_sums(x, y, bound), sets)
     if isinstance(e, IterShuffle):
-        target = expr_alphabet(e, alphabet)
-        base = VectorSet(target, oracle_set(e.child, alphabet, bound), bound)
-        return closure_under_addition(base, bound).vectors
+        k = len(expr_alphabet(e, alphabet))
+        return count_closure(oracle_set(e.child, alphabet, bound), k, bound)
     if isinstance(e, Project):
         # a short projected vector may only arise from a longer child vector:
         # the child's window is PROJECT_ORACLE_SLACK wider
+        keep = _kept(expr_alphabet(e.child, alphabet), e.letters)
         inner = oracle_set(e.child, alphabet, bound + PROJECT_ORACLE_SLACK)
-        return frozenset(r for v in inner if (r := v.restrict(e.letters)).total() <= bound)
+        return frozenset(r for c in inner if sum(r := keep(c)) <= bound)
     if isinstance(e, InvProject):
-        inner_alpha = expr_alphabet(e.child, alphabet)
+        keep = _kept(alphabet, expr_alphabet(e.child, alphabet))
         inner = oracle_set(e.child, alphabet, bound)
-        return frozenset(
-            v for v in all_vectors(alphabet, bound) if v.restrict(inner_alpha.letters) in inner
-        )
+        return frozenset(c for c in count_tuples(len(alphabet), bound) if keep(c) in inner)
     raise TypeError(f"unknown expression node: {e!r}")
+
+
+def _kept(alphabet: Alphabet, letters) -> Callable[[Counts], Counts]:
+    """The map from a count tuple over `alphabet` to its coordinates for
+    `letters`, in alphabet order."""
+    keep = [i for i, a in enumerate(alphabet) if a in letters]
+    return lambda c: tuple([c[i] for i in keep])
 
 
 # --- output helpers -------------------------------------------------------
@@ -403,7 +397,9 @@ def cmd_report(args) -> int:
 def cmd_check(args) -> int:
     """Compare the value with the brute-force oracle (`oracle_set`) on every
     count vector of coordinate sum <= --bound; print PASS (exit 0), or FAIL at
-    the least differing vector by sum, then lexicographically (exit 5).
+    the least differing vector by sum, then lexicographically (exit 5).  Both
+    sides are sets of count tuples over `expr_alphabet`: the oracle's, and
+    those of `count_tuples` that the value holds.
 
     A negative bound is refused (exit 2), and one above
     `oracle.CLOSURE_MAX_BOUND` trips the `check_bound` guard (exit 4) before
@@ -429,7 +425,7 @@ def cmd_check(args) -> int:
         with suppress(NonRegularError, UndecidedError):
             value = value.normal_form
     target = expr_alphabet(e, alphabet)
-    expected = {v.counts for v in oracle_set(e, alphabet, bound)}
+    expected = oracle_set(e, alphabet, bound)
     actual = {c for c in count_tuples(len(target), bound) if _member_counts(value, c)}
     if not (diff := expected ^ actual):
         print(f"PASS (bound {bound})")
@@ -441,7 +437,9 @@ def cmd_check(args) -> int:
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
+    """The parser, built once per process: parsing leaves it unchanged.  Its
+    `commands` maps each command name and alias to the command's subparser,
+    for `_parse_argv`."""
     parser = argparse.ArgumentParser(
         prog="comshuffle",
         description="Algebra of commutative regular languages in diagonal periodic form.",
@@ -492,11 +490,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.set_defaults(func=cmd_report)
 
+    parser.commands = sub.choices
     return parser
 
 
+def _parse_argv(argv: Optional[list[str]]) -> argparse.Namespace:
+    """The arguments, as `build_parser().parse_args(argv)` gives them.
+
+    When argv starts with a command, its subparser parses the rest directly:
+    the top-level pass would only pick that subparser and run it on the same
+    words.  Leftover words go to the top-level parser's own error, as they
+    would there.  Any other argv (help, no command, an unknown one) takes
+    the full parser."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_argv(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -18,14 +18,16 @@ Grammar, with precedence & (intersection) over <> (shuffle) over | (union):
 
 A brace group followed by '*' or '+' must list single letters and denotes Γ*
 or Γ+; otherwise it is a finite set of words.  '<>' is the ASCII stand-in for
-the shuffle product.  Every letter is checked against the alphabet as it is
-read, and an unknown one is reported at its position.
+the shuffle product.  An INT is a run of decimal digits, and a WORD a run of
+letters (`str.isalpha`).  Every letter is checked against the alphabet as it
+is read, and an unknown one is reported at its position.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union as TUnion
+from typing import Optional, Union as TUnion
 
 from .dpl import Fcount, Fmod, GammaPlus, GammaStar
 from .errors import ParseError
@@ -83,118 +85,99 @@ Expr = TUnion[
     UnionE, IntersectE, ShuffleE, IterShuffle, Project, InvProject,
 ]
 
-_KEYWORDS = {"perm", "sh", "project", "invproject", "alphabet", "F"}
-_PUNCT = {"(", ")", "{", "}", ",", ";", "|", "&", "*", "+"}
+# A token is a (kind, value, pos) tuple; kind is IDENT, INT, SHUFFLE, a
+# punctuation character, or _END for the sentinel closing every token list.
+Token = tuple[str, str, int]
+_END = "END"
+
+# \s is exactly str.isspace and \d exactly str.isdecimal.  [^\W\d_] holds
+# every letter (str.isalpha) but also the digits and numerals that are not
+# decimal, such as '²' and '½': `_tokenize` refuses those.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<SHUFFLE><>)|(?P<PUNCT>[(){},;|&*+])|(?P<INT>\d+)|(?P<IDENT>[^\W\d_]+)"
+    r"|(?P<BAD>\S))"
+)
 
 
-class _Token(NamedTuple):
-    kind: str  # IDENT, INT, SHUFFLE, or a punctuation character
-    value: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("<>", i):
-            out.append(_Token("SHUFFLE", "<>", i))
-            i += 2
-            continue
-        if c in _PUNCT:
-            out.append(_Token(c, c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("INT", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            out.append(_Token("IDENT", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    return out
+def _tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, then the end sentinel at position len(text).
+    An INT is a run of decimal digits and an IDENT a run of letters; any
+    other character outside whitespace, '<>' and the punctuation is refused
+    at its position."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value = m[kind]
+        pos = m.start(kind)
+        if kind == "PUNCT":
+            kind = value
+        elif kind == "IDENT" and not value.isalpha():
+            pos += next(k for k, c in enumerate(value) if not c.isalpha())
+            kind = "BAD"
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append((kind, value, pos))
+    tokens.append((_END, "", len(text)))
+    return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], length: int):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
-        self.length = length
         self.alphabet: Optional[Alphabet] = None
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.i][0]
 
-    def next(self) -> _Token:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", self.length)
+    def expect(self, kind: str) -> Token:
+        t = self.tokens[self.i]
+        if t[0] != kind:
+            got = "end of input" if t[0] == _END else repr(t[1])
+            raise ParseError(f"expected {kind!r}, got {got}", t[2])
         self.i += 1
         return t
 
-    def expect(self, kind: str) -> _Token:
-        t = self.peek()
-        if t is None or t.kind != kind:
-            where = t.pos if t else self.length
-            got = repr(t.value) if t else "end of input"
-            raise ParseError(f"expected {kind!r}, got {got}", where)
-        self.i += 1
-        return t
-
-    def word(self) -> _Token:
+    def word(self) -> str:
         """The next identifier, whose letters must lie in the alphabet."""
-        t = self.expect("IDENT")
-        for k, a in enumerate(t.value):
+        _, value, pos = self.expect("IDENT")
+        for k, a in enumerate(value):
             if a not in self.alphabet:
-                raise ParseError(f"unknown letter {a!r}", t.pos + k)
-        return t
+                raise ParseError(f"unknown letter {a!r}", pos + k)
+        return value
 
     def expr(self) -> Expr:
         parts = [self.shuffled()]
-        while (t := self.peek()) and t.kind == "|":
-            self.next()
+        while self.peek() == "|":
+            self.i += 1
             parts.append(self.shuffled())
         return parts[0] if len(parts) == 1 else UnionE(tuple(parts))
 
     def shuffled(self) -> Expr:
         parts = [self.meet()]
-        while (t := self.peek()) and t.kind == "SHUFFLE":
-            self.next()
+        while self.peek() == "SHUFFLE":
+            self.i += 1
             parts.append(self.meet())
         return parts[0] if len(parts) == 1 else ShuffleE(tuple(parts))
 
     def meet(self) -> Expr:
         parts = [self.atom()]
-        while (t := self.peek()) and t.kind == "&":
-            self.next()
+        while self.peek() == "&":
+            self.i += 1
             parts.append(self.atom())
         return parts[0] if len(parts) == 1 else IntersectE(tuple(parts))
 
     def braces(self) -> tuple[tuple[str, ...], int]:
-        open_tok = self.expect("{")
+        pos = self.expect("{")[2]
         words = []
-        if (t := self.peek()) and t.kind != "}":
-            while True:
-                words.append(self.word().value)
-                if (t := self.peek()) and t.kind == ",":
-                    self.next()
-                else:
-                    break
+        if self.peek() not in ("}", _END):
+            words.append(self.word())
+            while self.peek() == ",":
+                self.i += 1
+                words.append(self.word())
         self.expect("}")
-        return tuple(words), open_tok.pos
+        return tuple(words), pos
 
     def _letterset(self, words: tuple[str, ...], pos: int) -> frozenset[str]:
         for w in words:
@@ -204,42 +187,40 @@ class _Parser:
                 )
         return frozenset(words)
 
+    def parens(self) -> Expr:
+        """An expression in parentheses."""
+        self.expect("(")
+        e = self.expr()
+        self.expect(")")
+        return e
+
     def atom(self) -> Expr:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", self.length)
-        if t.kind == "(":
-            self.next()
-            e = self.expr()
-            self.expect(")")
-            return e
-        if t.kind == "{":
+        kind, name, pos = self.tokens[self.i]
+        if kind == "(":
+            return self.parens()
+        if kind == "{":
             words, pos = self.braces()
             nxt = self.peek()
-            if nxt and nxt.kind == "*":
-                self.next()
+            if nxt == "*":
+                self.i += 1
                 return GammaStar(self._letterset(words, pos))
-            if nxt and nxt.kind == "+":
-                self.next()
+            if nxt == "+":
+                self.i += 1
                 return GammaPlus(self._letterset(words, pos))
             return SetLit(words)
-        if t.kind == "IDENT":
-            name = t.value
+        if kind == "IDENT":
             if name == "perm":
-                self.next()
+                self.i += 1
                 self.expect("(")
-                w = self.word().value
+                w = self.word()
                 self.expect(")")
                 return Perm(w)
             if name == "sh":
-                self.next()
+                self.i += 1
                 self.expect("*")
-                self.expect("(")
-                e = self.expr()
-                self.expect(")")
-                return IterShuffle(e)
+                return IterShuffle(self.parens())
             if name == "project":
-                self.next()
+                self.i += 1
                 self.expect("(")
                 e = self.expr()
                 self.expect(",")
@@ -247,36 +228,34 @@ class _Parser:
                 self.expect(")")
                 return Project(e, self._letterset(words, pos))
             if name == "invproject":
-                self.next()
-                self.expect("(")
-                e = self.expr()
-                self.expect(")")
-                return InvProject(e)
+                self.i += 1
+                return InvProject(self.parens())
             if name == "F":
-                self.next()
+                self.i += 1
                 self.expect("(")
-                letter_tok = self.word()
-                if len(letter_tok.value) != 1:
-                    raise ParseError("F expects a single letter", letter_tok.pos)
+                letter_pos = self.tokens[self.i][2]
+                letter = self.word()
+                if len(letter) != 1:
+                    raise ParseError("F expects a single letter", letter_pos)
                 self.expect(",")
-                first = int(self.expect("INT").value)
-                if (nxt := self.peek()) and nxt.kind == ",":
-                    self.next()
-                    second_tok = self.expect("INT")
-                    second = int(second_tok.value)
+                first = int(self.expect("INT")[1])
+                if self.peek() == ",":
+                    self.i += 1
+                    _, second, second_pos = self.expect("INT")
                     self.expect(")")
-                    if first >= second:
-                        raise ParseError("residue must be < modulus", second_tok.pos)
-                    return Fmod(letter_tok.value, first, second)
+                    if first >= (second := int(second)):
+                        raise ParseError("residue must be < modulus", second_pos)
+                    return Fmod(letter, first, second)
                 self.expect(")")
-                return Fcount(letter_tok.value, first)
+                return Fcount(letter, first)
             if name == "alphabet":
                 raise ParseError(
-                    "alphabet declaration must come first, as 'alphabet <letters>;'",
-                    t.pos,
+                    "alphabet declaration must come first, as 'alphabet <letters>;'", pos
                 )
-            return WordLit(self.word().value)
-        raise ParseError(f"unexpected token {t.value!r}", t.pos)
+            return WordLit(self.word())
+        if kind == _END:
+            raise ParseError("unexpected end of input", pos)
+        raise ParseError(f"unexpected token {name!r}", pos)
 
 
 def parse(text: str, alphabet: Optional[Alphabet] = None) -> tuple[Expr, Alphabet]:
@@ -285,18 +264,17 @@ def parse(text: str, alphabet: Optional[Alphabet] = None) -> tuple[Expr, Alphabe
     The alphabet may come from the declaration or the `alphabet` argument; the
     in-text declaration wins when both are present.
     """
-    tokens = _tokenize(text)
-    p = _Parser(tokens, len(text))
-    t = p.peek()
-    if t and t.kind == "IDENT" and t.value == "alphabet":
-        p.next()
-        letters_tok = p.expect("IDENT")
+    p = _Parser(_tokenize(text))
+    if p.tokens[0][:2] == ("IDENT", "alphabet"):
+        p.i += 1
+        letters = p.expect("IDENT")[1]
         p.expect(";")
-        alphabet = Alphabet.of(letters_tok.value)
+        alphabet = Alphabet.of(letters)
     if alphabet is None:
         raise ParseError("no alphabet declared; use --alphabet or 'alphabet <letters>;'")
     p.alphabet = alphabet
     e = p.expr()
-    if (t := p.peek()) is not None:
-        raise ParseError(f"trailing input {t.value!r}", t.pos)
+    kind, value, pos = p.tokens[p.i]
+    if kind != _END:
+        raise ParseError(f"trailing input {value!r}", pos)
     return e, alphabet

@@ -6,10 +6,14 @@ vectors, not words, except for `word_language` which bridges to automata
 tests: it asks its predicate once per count vector and lists every
 arrangement of each accepted one.
 
-The public functions take and return `VectorSet`s of `ParikhVector`s.  Inside,
-the arithmetic runs on plain count tuples, each closure frontier entry
-carrying its coordinate sum, and a `ParikhVector` is built once per vector of
-a returned window.  Union membership is tested count by count with
+Two kernels do the arithmetic on plain count tuples: `count_closure` (the
+closure under addition, each frontier entry carrying its coordinate sum) and
+`count_sums` (pairwise sums).  They, and `count_tuples`, take and return
+count tuples; `cli.oracle_set` builds its whole semantics on them.  The
+other public functions (`closure_under_addition` and `vector_sums`, which
+wrap the kernels, `dpl_enumerate`, `predicate_enumerate` and `sets_equal`)
+take and return `VectorSet`s of `ParikhVector`s, each built once per vector
+of a returned window.  Union membership is tested count by count with
 `dpl.in_count_set`; no symbolic construction of `dpl`, `aperiodic` or
 `regularity` is used.  Each enumeration sits behind a bound guard
 (`closure_bound`, `enumeration_bound`, `word_bound`), and every listing of
@@ -70,16 +74,13 @@ def all_vectors(alphabet: Alphabet, bound: int) -> Iterator[ParikhVector]:
         yield ParikhVector(alphabet, counts)
 
 
-def closure_under_addition(base: VectorSet, bound: int) -> VectorSet:
-    """Smallest superset of {0} ∪ base closed under pairwise addition, within bound.
-
-    This is the Parikh-image semantics of the iterated shuffle of a
-    commutative language.
-    """
+def count_closure(gens: Iterable[Counts], k: int, bound: int) -> frozenset[Counts]:
+    """Smallest superset of {0} ∪ gens closed under pairwise addition, within
+    bound, on k-tuples of counts."""
     if bound > CLOSURE_MAX_BOUND:
         raise SizeGuardError.over("closure bound", "closure_bound", CLOSURE_MAX_BOUND, bound)
-    gens = [(v.counts, n) for v in base.vectors if 0 < (n := v.total()) <= bound]
-    zero = (0,) * len(base.alphabet)
+    gens = [(g, n) for g in gens if 0 < (n := sum(g)) <= bound]
+    zero = (0,) * k
     reached = {zero}
     frontier = [(zero, 0)]
     while frontier:
@@ -88,21 +89,36 @@ def closure_under_addition(base: VectorSet, bound: int) -> VectorSet:
             if n + m <= bound and (w := tuple(map(add, v, g))) not in reached:
                 reached.add(w)
                 frontier.append((w, n + m))
-    return _window(base.alphabet, reached, bound)
+    return frozenset(reached)
+
+
+def count_sums(xs: Iterable[Counts], ys: Iterable[Counts], bound: int) -> frozenset[Counts]:
+    """Pairwise sums of count tuples within bound."""
+    ys = [(b, sum(b)) for b in ys]
+    return frozenset(
+        tuple(map(add, a, b))
+        for a in xs
+        if (n := sum(a)) <= bound
+        for b, m in ys
+        if n + m <= bound
+    )
+
+
+def closure_under_addition(base: VectorSet, bound: int) -> VectorSet:
+    """Smallest superset of {0} ∪ base closed under pairwise addition, within bound.
+
+    This is the Parikh-image semantics of the iterated shuffle of a
+    commutative language.
+    """
+    gens = (v.counts for v in base.vectors)
+    return _window(base.alphabet, count_closure(gens, len(base.alphabet), bound), bound)
 
 
 def vector_sums(x: VectorSet, y: VectorSet, bound: int) -> VectorSet:
     """Pairwise sums within bound: the Parikh semantics of the binary shuffle."""
     if x.alphabet != y.alphabet:
         raise ValueError("alphabet mismatch")
-    ys = [(b.counts, b.total()) for b in y.vectors]
-    sums = {
-        tuple(map(add, a.counts, b))
-        for a in x.vectors
-        if (n := a.total()) <= bound
-        for b, m in ys
-        if n + m <= bound
-    }
+    sums = count_sums((a.counts for a in x.vectors), (b.counts for b in y.vectors), bound)
     return _window(x.alphabet, sums, bound)
 
 

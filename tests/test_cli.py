@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from functools import reduce
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,9 +15,14 @@ import pytest
 from comshuffle import aperiodic, cli
 from comshuffle.automata import dfa_from_dict
 from comshuffle.cli import main
-from comshuffle.dpl import GammaStar, dpl_union_from_dict, dpl_union_member, from_generators
+from comshuffle.dpl import (
+    Fcount, Fmod, GammaPlus, GammaStar, dpl_union_from_dict, dpl_union_member, from_generators
+)
 from comshuffle.errors import SizeGuardError
-from comshuffle.exprlang import parse
+from comshuffle.exprlang import (
+    IntersectE, InvProject, IterShuffle, Perm, Project, SetLit, ShuffleE, UnionE, WordLit, parse
+)
+from comshuffle.oracle import VectorSet, all_vectors, closure_under_addition, vector_sums
 from comshuffle.words import Alphabet, ParikhVector, parikh
 
 
@@ -355,7 +361,7 @@ def test_check_fails_at_the_least_differing_vector(capsys, monkeypatch):
     # lexicographically, is aab
     ab = Alphabet.of("ab")
     oracle_set = cli.oracle_set
-    missing = {parikh(w, ab) for w in ("aaaab", "aaa", "aab")}
+    missing = {parikh(w, ab).counts for w in ("aaaab", "aaa", "aab")}
     monkeypatch.setattr(cli, "oracle_set", lambda *args: oracle_set(*args) - missing)
     code, out, _ = run(capsys, "check", "--alphabet", "ab", "--bound", "6", "F(a,1)")
     assert code == 5
@@ -448,6 +454,53 @@ def test_two_calls_build_one_parser(capsys, monkeypatch):
     finally:
         cli.build_parser.cache_clear()
     assert len(built) == 1
+
+
+def _argv_outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exit:
+        code = exit.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+EXPR = "F(a,1,2)"
+ARGV_CORPUS = [
+    ["normalize", "--alphabet", "ab", EXPR],
+    ["member", "--alphabet", "ab", "aab", EXPR],
+    ["regular", "--alphabet", "ab", "sh*(perm(ab))"],
+    ["regular?", "--alphabet", "ab", "sh*(perm(ab))"],
+    ["dfa", "--alphabet", "ab", "--dot", EXPR],
+    ["check", "--alphabet", "ab", "--bound", "4", EXPR],
+    ["report", "--alphabet", "ab", EXPR],
+    ["-h"],
+    *([command, "-h"] for command in ("normalize", "member", "regular", "regular?", "dfa",
+                                      "check", "report")),
+    [],
+    ["bogus", "--alphabet", "ab", EXPR],
+    ["member", "--alphabet", "ab", EXPR],
+    ["member", "--alphabet", "ab", "a", EXPR, "extra"],
+    ["normalize", "--alph", "ab", EXPR],
+    ["dfa", "--alphabet", "ab", "--min", EXPR],
+    ["normalize", "--alphabet=ab", EXPR],
+    ["normalize", "--alphabet", "ab", "--", EXPR],
+    ["dfa", "--guard-states", "-1", "--alphabet", "ab", EXPR],
+    ["check", "--alphabet", "ab", "--bound", "x", EXPR],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+def test_direct_argv_route_matches_the_full_parser(capsys, monkeypatch, argv):
+    # main with its own argv route, then main with the top-level parse:
+    # the same exit code, output and Namespace
+    outcomes = []
+    for parse in (cli._parse_argv, lambda argv: cli.build_parser().parse_args(argv)):
+        seen = []
+        monkeypatch.setattr(cli, "_parse_argv", lambda argv: seen.append(parse(argv)) or seen[0])
+        outcomes.append((_argv_outcome(capsys, argv), seen))
+    assert outcomes[0] == outcomes[1]
+    assert all(args.command == argv[0] for args in outcomes[0][1])
 
 
 def test_closure_member_guard_exit_code(capsys, monkeypatch):
@@ -738,3 +791,106 @@ def test_projection_of_a_closure_is_the_closure_of_the_projected_union(capsys):
     assert (code, json.loads(out)["terms"]) == (0, [
         {"progs": {"a": {"k": 0, "p": 1}}, "support": ["a"]},
     ])
+
+
+def reference_oracle_set(e, alphabet, bound):
+    """The oracle on `ParikhVector`s that `cli.oracle_set` replaced, kept as
+    a reference."""
+    if isinstance(e, (WordLit, Perm)):
+        v = parikh(e.word, alphabet)
+        return frozenset([v] if v.total() <= bound else [])
+    if isinstance(e, SetLit):
+        return frozenset(v for w in e.words if (v := parikh(w, alphabet)).total() <= bound)
+    if isinstance(e, Fcount):
+        return frozenset(v for v in all_vectors(alphabet, bound) if v[e.letter] >= e.threshold)
+    if isinstance(e, Fmod):
+        return frozenset(
+            v for v in all_vectors(alphabet, bound) if v[e.letter] % e.modulus == e.residue
+        )
+    if isinstance(e, GammaStar):
+        return frozenset(v for v in all_vectors(alphabet, bound) if v.support() <= e.letters)
+    if isinstance(e, GammaPlus):
+        return frozenset(
+            v for v in all_vectors(alphabet, bound) if v.support() <= e.letters and v.total() >= 1
+        )
+    if isinstance(e, UnionE):
+        return frozenset().union(*(reference_oracle_set(p, alphabet, bound) for p in e.parts))
+    if isinstance(e, IntersectE):
+        sets = [reference_oracle_set(p, alphabet, bound) for p in e.parts]
+        return frozenset(reduce(lambda x, y: x & y, sets))
+    if isinstance(e, ShuffleE):
+        target = cli.expr_alphabet(e, alphabet)
+        sets = [VectorSet(target, reference_oracle_set(p, alphabet, bound), bound)
+                for p in e.parts]
+        return reduce(lambda x, y: vector_sums(x, y, bound), sets).vectors
+    if isinstance(e, IterShuffle):
+        target = cli.expr_alphabet(e, alphabet)
+        base = VectorSet(target, reference_oracle_set(e.child, alphabet, bound), bound)
+        return closure_under_addition(base, bound).vectors
+    if isinstance(e, Project):
+        inner = reference_oracle_set(e.child, alphabet, bound + cli.PROJECT_ORACLE_SLACK)
+        return frozenset(r for v in inner if (r := v.restrict(e.letters)).total() <= bound)
+    if isinstance(e, InvProject):
+        inner_alpha = cli.expr_alphabet(e.child, alphabet)
+        inner = reference_oracle_set(e.child, alphabet, bound)
+        return frozenset(
+            v for v in all_vectors(alphabet, bound) if v.restrict(inner_alpha.letters) in inner
+        )
+    raise TypeError(f"unknown expression node: {e!r}")
+
+
+def _random_leaf(rng, session):
+    letters = session.letters
+    word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+    pick = rng.randrange(7)
+    if pick == 0:
+        return WordLit(word)
+    if pick == 1:
+        return Perm(word)
+    if pick == 2:
+        other = "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+        return SetLit(tuple(sorted({word, other})))
+    if pick == 3:
+        return Fcount(rng.choice(letters), rng.randint(0, 3))
+    if pick == 4:
+        modulus = rng.randint(2, 3)
+        return Fmod(rng.choice(letters), rng.randrange(modulus), modulus)
+    subset = frozenset(rng.sample(letters, rng.randint(1, len(letters))))
+    return GammaStar(subset) if pick == 5 else GammaPlus(subset)
+
+
+def random_oracle_expr(rng, session, target, depth):
+    """A random expression whose alphabet (`cli.expr_alphabet`) is `target`,
+    nested at most `depth` deep below the leaves' parents."""
+    kinds = ["|", "&", "<>", "sh*", "project"] if depth else []
+    if target == session:
+        kinds += ["leaf"] * 3 + (["invproject"] * 2 if depth else [])
+    kind = rng.choice(kinds or ["project"])
+    sub = max(depth - 1, 0)
+    if kind == "leaf":
+        return _random_leaf(rng, session)
+    if kind in ("|", "&", "<>"):
+        node = {"|": UnionE, "&": IntersectE, "<>": ShuffleE}[kind]
+        return node(tuple(random_oracle_expr(rng, session, target, sub) for _ in range(2)))
+    if kind == "sh*":
+        return IterShuffle(random_oracle_expr(rng, session, target, sub))
+    if kind == "invproject":
+        inner = session.restrict(rng.sample(session.letters, rng.randint(1, len(session))))
+        return InvProject(random_oracle_expr(rng, session, inner, sub))
+    # a projection of a child over more letters, sometimes naming one it lacks
+    wider = session if not depth else session.restrict(
+        set(target) | set(rng.sample(session.letters, rng.randint(0, len(session)))))
+    letters = set(target) | ({rng.choice(session.letters)} - set(wider))
+    return Project(random_oracle_expr(rng, session, wider, sub), frozenset(letters))
+
+
+def test_oracle_agrees_with_its_reference_on_seeded_expressions():
+    rng = random.Random(32)
+    for _ in range(300):
+        session = Alphabet.of(rng.choice(["ab", "abc"]))
+        target = session if rng.random() < 0.5 else session.restrict(
+            rng.sample(session.letters, rng.randint(1, len(session) - 1)))
+        e = random_oracle_expr(rng, session, target, rng.randint(0, 2))
+        bound = rng.randint(0, 6)
+        expected = {v.counts for v in reference_oracle_set(e, session, bound)}
+        assert cli.oracle_set(e, session, bound) == expected, e

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from comshuffle.cli import main
 from comshuffle.dpl import Fcount, Fmod, GammaStar
 from comshuffle.errors import ParseError
 from comshuffle.exprlang import (
@@ -11,6 +14,7 @@ from comshuffle.exprlang import (
     ShuffleE,
     UnionE,
     WordLit,
+    _tokenize,
     parse,
 )
 from comshuffle.words import Alphabet
@@ -116,3 +120,91 @@ def test_error_carries_position():
 def test_misplaced_alphabet_keyword():
     with pytest.raises(ParseError):
         parse("a | alphabet ab; b", AB)
+
+
+def test_a_digit_that_is_not_decimal_is_a_syntax_error(capsys):
+    # '²' passes str.isdigit but not int(): it is refused where it stands
+    with pytest.raises(ParseError) as err:
+        parse("F(a,²)", AB)
+    assert str(err.value) == "unexpected character '²' (at position 4)"
+    assert main(["normalize", "--alphabet", "ab", "F(a,²)"]) == 2
+    assert capsys.readouterr().err == "syntax error: unexpected character '²' (at position 4)\n"
+
+
+def reference_tokenize(text):
+    """The character loop the regex tokenizer replaced, kept as a reference."""
+    punct = {"(", ")", "{", "}", ",", ";", "|", "&", "*", "+"}
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if text.startswith("<>", i):
+            out.append(("SHUFFLE", "<>", i))
+            i += 2
+            continue
+        if c in punct:
+            out.append((c, c, i))
+            i += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(("INT", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and text[j].isalpha():
+                j += 1
+            out.append(("IDENT", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    return out
+
+
+def _outcome(tokenize, text):
+    """The tokens, less the end sentinel, or the error's message and position."""
+    try:
+        tokens = tokenize(text)
+    except ParseError as err:
+        return str(err), err.pos
+    if tokenize is _tokenize:
+        assert tokens.pop() == ("END", "", len(text))
+    return tokens
+
+
+def assert_tokenizes_as_the_reference(text):
+    """Identical tokens or an identical error.  The one exception is a digit
+    that is not decimal: it is refused at its position, unless the reference
+    fails before it."""
+    bad = next((i for i, c in enumerate(text) if c.isdigit() and not c.isdecimal()), None)
+    if bad is None:
+        assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text), text
+        return
+    expected = _outcome(reference_tokenize, text[:bad])
+    if isinstance(expected, list):
+        expected = (f"unexpected character {text[bad]!r} (at position {bad})", bad)
+    assert _outcome(_tokenize, text) == expected, text
+
+
+@pytest.mark.parametrize("context", ["F(a,{})", "{{{}}}", "a{}b"])
+def test_tokens_agree_with_the_reference_on_every_bmp_code_point(context):
+    for code in range(0x10000):
+        assert_tokenizes_as_the_reference(context.format(chr(code)))
+
+
+def test_tokens_agree_with_the_reference_on_seeded_strings():
+    rng = random.Random(32)
+    pieces = list("abcxyzF") + ["perm", "sh", "alphabet", "é", "ß"] + list("0123456789") + [
+        "٣", "²", "½", "(", ")", "{", "}", ",", ";", "|", "&", "*", "+", "<>", "<", ">",
+        "$", "_", "-", " ", "\t", "\n", "\xa0", "\x1c", "\u3000",
+    ]
+    for _ in range(5000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 16)))
+        assert_tokenizes_as_the_reference(text)
